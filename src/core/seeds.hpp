@@ -11,6 +11,7 @@
 /// The receiver's work is then proportional to |S|, independent of the
 /// distance between o and r.
 
+#include <cstddef>
 #include <vector>
 
 #include "core/octant.hpp"
@@ -22,9 +23,21 @@ namespace octbal {
 /// cause r to split (r is already balanced with o).  Otherwise the returned
 /// octants are descendants of r, and
 ///   balance_subtree_new(seeds, k, r) == Tk(o) ∩ r.
-/// Octants o and r must be disjoint.
+/// Octants o and r must be disjoint.  Charges its working set to the
+/// kSeeds memory tag (see balance_seeds_into).
 template <int D>
 std::vector<Octant<D>> balance_seeds(const Octant<D>& o, const Octant<D>& r,
                                      int k);
+
+/// The allocation-free kernel behind balance_seeds: overwrites \p out with
+/// the same seeds, using \p scratch for the neighborhood probes (both are
+/// caller-owned and may be reused across calls).  Opens no memory scope;
+/// returns instead the kSeeds bytes balance_seeds charges for this call
+/// (0 on the early returns), so a caller running many closures can charge
+/// their maximum once.
+template <int D>
+std::size_t balance_seeds_into(const Octant<D>& o, const Octant<D>& r, int k,
+                               std::vector<Octant<D>>& out,
+                               std::vector<Octant<D>>& scratch);
 
 }  // namespace octbal

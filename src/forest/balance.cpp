@@ -4,7 +4,6 @@
 #include <cstring>
 #include <map>
 
-#include "core/lambda.hpp"
 #include "core/linear.hpp"
 #include "core/neighborhood.hpp"
 #include "core/seeds.hpp"
@@ -34,6 +33,35 @@ struct WirePair {
   friend bool operator==(const WirePair&, const WirePair&) = default;
   friend auto operator<=>(const WirePair&, const WirePair&) = default;
 };
+
+/// One tree's contiguous run [lo, hi) of a rank's sorted leaf array.
+struct TreeRun {
+  std::int32_t tree;
+  std::size_t lo, hi;
+};
+
+/// True iff the whole insulation layer of \p o (o and its 3^D - 1
+/// same-size neighbors) lies inside o's tree.  Every insulation piece is
+/// then a plain coordinate offset of o (offset_piece) in the identity
+/// frame, so no connectivity lookup is needed.
+template <int D>
+bool insulation_in_tree(const Octant<D>& o) {
+  const coord_t h = side_len(o);
+  for (int d = 0; d < D; ++d) {
+    if (o.x[d] < h || o.x[d] + 2 * h > root_len<D>) return false;
+  }
+  return true;
+}
+
+/// The same-size neighbor of \p o at offset \p off (in side lengths).
+template <int D>
+Octant<D> offset_piece(const Octant<D>& o, const std::array<int, D>& off) {
+  Octant<D> piece = o;
+  for (int d = 0; d < D; ++d) {
+    piece.x[d] += static_cast<coord_t>(off[d]) * side_len(o);
+  }
+  return piece;
+}
 
 }  // namespace
 
@@ -152,13 +180,8 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
         // produce a query.  Morton keys are monotone in componentwise
         // coordinate order, so the (-1..-1) and (+1..+1) corner pieces
         // bound every piece's key interval.
-        const coord_t hh = side_len(to.oct);
-        bool interior = true;
-        for (int dd = 0; dd < D && interior; ++dd) {
-          interior =
-              to.oct.x[dd] >= hh && to.oct.x[dd] + 2 * hh <= root_len<D>;
-        }
-        if (interior) {
+        if (insulation_in_tree(to.oct)) {
+          const coord_t hh = side_len(to.oct);
           Octant<D> lo_p = to.oct, hi_p = to.oct;
           for (int dd = 0; dd < D; ++dd) {
             lo_p.x[dd] -= hh;
@@ -177,11 +200,7 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
           // coordinate offsets — no connectivity lookups needed.
           const morton_t sz = morton_t{1} << (D * size_exp(to.oct));
           for (std::size_t oi = 0; oi < n_offs; ++oi) {
-            const auto& off = all_offs[oi];
-            Octant<D> piece = to.oct;
-            for (int dd = 0; dd < D; ++dd) {
-              piece.x[dd] += static_cast<coord_t>(off[dd]) * hh;
-            }
+            const Octant<D> piece = offset_piece<D>(to.oct, all_offs[oi]);
             const GlobalPos lo{to.tree, morton_key(piece)};
             const GlobalPos hi{to.tree, lo.key + sz};
             if (own_lo <= lo && GlobalPos{to.tree, hi.key - 1} < own_hi) {
@@ -377,49 +396,102 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
       const obs::MemRank mem_rank(r);
       Timer t;
       const auto& mine = f.local(r);
-      const auto runs = tree_runs(mine);
-      // Per-tree views for range searches.
-      std::map<int, std::vector<Octant<D>>> by_tree;
-      for (const auto& [i, j] : runs) {
-        auto& v = by_tree[mine[i].tree];
-        for (std::size_t q = i; q < j; ++q) v.push_back(mine[q].oct);
+      // Per-tree views for range searches: each tree's leaves are one
+      // contiguous run of `mine`, and every leaf's Morton interval bounds
+      // sit in two flat key arrays, so a range search is two
+      // partition_points over plain integers.
+      std::vector<TreeRun> runs;
+      for (const auto& [i, j] : tree_runs(mine)) {
+        runs.push_back({mine[i].tree, i, j});
       }
+      std::vector<morton_t> ibeg(mine.size()), iend(mine.size());
+      for (std::size_t i = 0; i < mine.size(); ++i) {
+        ibeg[i] = morton_key(mine[i].oct);
+        iend[i] = ibeg[i] + (morton_t{1} << (D * size_exp(mine[i].oct)));
+      }
+      const auto find_run = [&](std::int32_t tree) -> const TreeRun* {
+        const auto it = std::lower_bound(
+            runs.begin(), runs.end(), tree,
+            [](const TreeRun& a, std::int32_t t) { return a.tree < t; });
+        return it != runs.end() && it->tree == tree ? &*it : nullptr;
+      };
       std::map<int, std::vector<WirePair<D>>> reply;
       const auto& offs = full_offsets<D>();
+      std::vector<Octant<D>> seeds, seed_scratch;
+      std::size_t seeds_peak = 0;  // kSeeds bytes of the largest closure
       for (const auto& [from, queries] : qrecv[r]) {
         auto& out = reply[from];
         for (const auto& w : queries) {
           const TreeOct<D> q = from_wire(w);
-          for (const auto& off : offs) {
-            const auto nb = conn.neighbor(q.tree, q.oct, off);
-            if (!nb) continue;
-            const auto it = by_tree.find(nb->tree);
-            if (it == by_tree.end()) continue;
-            const auto& run = it->second;
-            const auto [lo, hi] = overlapping_range(run, nb->oct);
-            if (lo >= hi) continue;
-            // Map from the piece's own tree frame into q's frame (a pure
-            // translation for brick connectivities, a signed permutation
-            // plus translation for general 2D gluings).
+          const std::size_t first = out.size();
+          // Answer q from the leaves of `run` overlapping insulation piece
+          // `piece` (in the run's tree frame), mapped into q's frame by
+          // `xf` (null: identity).
+          const auto respond = [&](const TreeRun& run, const Octant<D>& piece,
+                                   const FrameTransform<D>* xf) {
+            const morton_t pb = morton_key(piece);
+            const morton_t pe = pb + (morton_t{1} << (D * size_exp(piece)));
+            const auto b = ibeg.begin(), e = iend.begin();
+            const std::size_t lo =
+                std::partition_point(e + run.lo, e + run.hi,
+                                     [&](morton_t x) { return x <= pb; }) -
+                e;
+            const std::size_t hi =
+                std::partition_point(b + lo, b + run.hi,
+                                     [&](morton_t x) { return x < pe; }) -
+                b;
             for (std::size_t ji = lo; ji < hi; ++ji) {
-              if (run[ji].level <= q.oct.level) continue;  // too coarse
-              const Octant<D> o = nb->xform.apply(run[ji]);
+              const Octant<D>& leaf = mine[ji].oct;
+              if (leaf.level <= q.oct.level) continue;  // too coarse
+              const Octant<D> o = xf ? xf->apply(leaf) : leaf;
               if (opt.seed_response) {
-                if (o.level <= q.oct.level + 1) continue;     // 2:1 already
-                if (balanced_pair(o, q.oct, k)) continue;     // O(1) decision
-                for (const auto& s : balance_seeds(o, q.oct, k)) {
+                if (o.level <= q.oct.level + 1) continue;  // 2:1 already
+                // The closure opens with the O(1) balanced_pair decision
+                // and returns no seeds (and 0 bytes) when it holds.
+                seeds_peak = std::max(
+                    seeds_peak,
+                    balance_seeds_into(o, q.oct, k, seeds, seed_scratch));
+                for (const auto& s : seeds) {
                   out.push_back(WirePair<D>{w, s.level, s.x});
                 }
               } else {
                 out.push_back(WirePair<D>{w, o.level, o.x});
               }
             }
+          };
+          if (insulation_in_tree(q.oct)) {
+            // Interior query, as in build_queries: no connectivity lookups.
+            if (const TreeRun* run = find_run(q.tree)) {
+              for (const auto& off : offs) {
+                respond(*run, offset_piece<D>(q.oct, off), nullptr);
+              }
+            }
+          } else {
+            // Map each piece through the connectivity (a pure translation
+            // for brick connectivities, a signed permutation plus
+            // translation for general 2D gluings).
+            for (const auto& off : offs) {
+              const auto nb = conn.neighbor(q.tree, q.oct, off);
+              if (!nb) continue;
+              if (const TreeRun* run = find_run(nb->tree)) {
+                respond(*run, nb->oct, &nb->xform);
+              }
+            }
           }
+          // Seeds from different response octants overlap; deduplicate per
+          // query, so the per-sender pass below sees ~distinct items only.
+          std::sort(out.begin() + first, out.end());
+          out.erase(std::unique(out.begin() + first, out.end()), out.end());
         }
-        // Seeds from different response octants overlap; deduplicate.
         std::sort(out.begin(), out.end());
         out.erase(std::unique(out.begin(), out.end()), out.end());
         rank_count[r] += out.size();
+      }
+      {
+        // One kSeeds charge at the closures' maximum: nothing else in this
+        // rank's slot moves during the loop, so every tag, rank and phase
+        // peak equals that of charging each closure in turn.
+        const obs::MemScope seeds_mem(obs::MemTag::kSeeds, seeds_peak);
       }
       for (auto& [dest, items] : reply) {
         if (items.empty()) continue;

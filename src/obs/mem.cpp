@@ -99,7 +99,10 @@ void MemSnapshot::to_json(JsonWriter& w, std::uint64_t leaves) const {
 
 namespace detail {
 std::atomic<MemAccountant*> g_mem_acct{nullptr};
-thread_local int t_mem_slot = -1;
+int& mem_slot() {
+  thread_local int slot = -1;
+  return slot;
+}
 }  // namespace detail
 
 namespace {
@@ -213,13 +216,13 @@ MemSnapshot MemAccountant::snapshot() const {
 
 void mem_charge(int slot, MemTag tag, std::uint64_t bytes) {
   if (MemAccountant* a = detail::g_mem_acct.load(std::memory_order_acquire)) {
-    a->charge(slot == kMemBoundSlot ? detail::t_mem_slot : slot, tag, bytes);
+    a->charge(slot == kMemBoundSlot ? detail::mem_slot() : slot, tag, bytes);
   }
 }
 
 void mem_release(int slot, MemTag tag, std::uint64_t bytes) {
   if (MemAccountant* a = detail::g_mem_acct.load(std::memory_order_acquire)) {
-    a->release(slot == kMemBoundSlot ? detail::t_mem_slot : slot, tag, bytes);
+    a->release(slot == kMemBoundSlot ? detail::mem_slot() : slot, tag, bytes);
   }
 }
 
@@ -237,7 +240,7 @@ void MemScope::acquire(int want_slot, MemTag tag, std::uint64_t bytes) {
   if (bytes == 0) return;
   MemAccountant* a = detail::g_mem_acct.load(std::memory_order_acquire);
   if (!a) return;
-  int slot = want_slot == kMemBoundSlot ? detail::t_mem_slot : want_slot;
+  int slot = want_slot == kMemBoundSlot ? detail::mem_slot() : want_slot;
   if (slot < 0 || slot >= a->nranks()) slot = a->nranks();
   a->charge(slot, tag, bytes);
   acct_ = a;

@@ -172,8 +172,11 @@ namespace detail {
 /// The installed accountant (null = accounting off).  Sessions install /
 /// restore from the orchestrating thread; hooks load-acquire once.
 extern std::atomic<MemAccountant*> g_mem_acct;
-/// Per-thread rank-slot binding (-1 = unbound -> engine slot).
-extern thread_local int t_mem_slot;
+/// Per-thread rank-slot binding (-1 = unbound -> engine slot).  A
+/// function-local thread_local rather than an extern one: the latter's
+/// cross-TU access goes through a TLS wrapper that UBSan reports as a
+/// null-pointer store.
+int& mem_slot();
 }  // namespace detail
 
 /// True while a MemSession is live (one relaxed load).
@@ -202,12 +205,12 @@ void mem_set_phase(const std::string& name);
 /// the previous binding (bindings nest).
 class MemRank {
  public:
-  explicit MemRank(int rank) : prev_(detail::t_mem_slot) {
-    detail::t_mem_slot = rank;
+  explicit MemRank(int rank) : prev_(detail::mem_slot()) {
+    detail::mem_slot() = rank;
   }
   MemRank(const MemRank&) = delete;
   MemRank& operator=(const MemRank&) = delete;
-  ~MemRank() { detail::t_mem_slot = prev_; }
+  ~MemRank() { detail::mem_slot() = prev_; }
 
  private:
   int prev_;

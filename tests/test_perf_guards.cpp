@@ -66,6 +66,7 @@ TEST(PerfGuards, ModeledTrafficMatchesBaseline) {
     EXPECT_EQ(rep.notify_comm.messages, 64u);
     EXPECT_EQ(rep.notify_comm.bytes, 15360u);
     EXPECT_EQ(rep.queries_sent, 34240u);
+    EXPECT_EQ(rep.response_items, 421758u);
   }
   {
     Forest<3> f = fig15_step2_forest();
@@ -77,6 +78,7 @@ TEST(PerfGuards, ModeledTrafficMatchesBaseline) {
     EXPECT_EQ(rep.notify_comm.messages, 64u);
     EXPECT_EQ(rep.notify_comm.bytes, 2400u);
     EXPECT_EQ(rep.queries_sent, 34240u);
+    EXPECT_EQ(rep.response_items, 3534u);
   }
 }
 
@@ -210,17 +212,25 @@ TEST(PerfGuards, MemoryPeaksPinnedPerLayout) {
   // different record types (KeyRec vs Octant<3> scratch, key-SoA vs AoS
   // hash slots), so each gets its own golden rather than being expected
   // to match.
+  //
+  // The query/response volume rides along: the response phase charges
+  // kSeeds once per rank at its largest seed closure, so the seeds peak,
+  // and the counters that say how many closures and seeds there were, are
+  // pinned per layout too (the layouts must agree on all three).
   const auto run = [](CoreLayout layout) {
     const ScopedCoreLayout scoped(layout);
     obs::MemSession mem(16);
     Forest<3> f = fig15_step2_forest();
     SimComm comm(16);
-    balance(f, BalanceOptions::new_config(), comm);
+    const BalanceReport rep = balance(f, BalanceOptions::new_config(), comm);
+    EXPECT_EQ(rep.queries_sent, 34240u);
+    EXPECT_EQ(rep.response_items, 3534u);
     return mem.snapshot();
   };
   {
     const obs::MemSnapshot m = run(CoreLayout::kKeySoA);
     EXPECT_EQ(m.peak_bytes, 11304912u);
+    EXPECT_EQ(tag_total(m, obs::MemTag::kSeeds), 2816u);
     EXPECT_EQ(tag_total(m, obs::MemTag::kHashSlots), 4718592u);
     EXPECT_EQ(tag_total(m, obs::MemTag::kForestLeaves), 4793440u);
     EXPECT_EQ(tag_total(m, obs::MemTag::kBalanceStaging), 1496824u);
@@ -229,6 +239,7 @@ TEST(PerfGuards, MemoryPeaksPinnedPerLayout) {
   {
     const obs::MemSnapshot m = run(CoreLayout::kAoS);
     EXPECT_EQ(m.peak_bytes, 17737968u);
+    EXPECT_EQ(tag_total(m, obs::MemTag::kSeeds), 2816u);
     EXPECT_EQ(tag_total(m, obs::MemTag::kHashSlots), 10485760u);
     // Layout changes how kernels compute, not what the forest holds or
     // what travels: leaf bytes, staging and mailbox peaks match kKeySoA.

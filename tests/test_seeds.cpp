@@ -7,8 +7,10 @@
 
 #include "core/balance_subtree.hpp"
 #include "core/linear.hpp"
+#include "core/neighborhood.hpp"
 #include "core/ripple.hpp"
 #include "core/seeds.hpp"
+#include "obs/mem.hpp"
 #include "util/rng.hpp"
 
 namespace octbal {
@@ -119,6 +121,69 @@ TEST(Seeds, WorkIsIndependentOfDistance) {
     sizes[idx++] = seeds.size();
   }
   EXPECT_LE(sizes[1], sizes[0] + 2);
+}
+
+/// balance_seeds_into with buffers reused across calls must return exactly
+/// balance_seeds' seeds, and report exactly the kSeeds bytes the wrapper
+/// charges.  Half the pairs put r beside an ancestor of o (where seeds are
+/// needed), half draw r anywhere (finer than o, or far and balanced), so
+/// both early returns and the closure itself are exercised.
+template <int D>
+void seeds_into_matches_wrapper(std::uint64_t seed) {
+  Rng rng(seed);
+  const auto root = root_octant<D>();
+  const auto& offs = full_offsets<D>();
+  std::vector<Octant<D>> out, scratch;
+  std::size_t finer = 0, balanced = 0, seeded = 0;
+  for (int k = 1; k <= D; ++k) {
+    for (int i = 0; i < 2000; ++i) {
+      const Octant<D> o = random_octant(rng, root, 9);
+      Octant<D> r = random_octant(rng, root, 9);
+      if (rng.chance(0.5) && o.level > 0) {
+        const Octant<D> a = ancestor(o, 1 + static_cast<int>(rng.below(
+                                               static_cast<std::uint64_t>(
+                                                   o.level))));
+        Octant<D> nb;
+        if (neighbor_in<D>(a, offs[rng.below(offs.size())], root, &nb)) r = nb;
+      }
+      if (overlaps(o, r)) continue;
+      std::vector<Octant<D>> want;
+      std::uint64_t charged = 0;
+      bool accounted = false;
+      {
+        obs::MemSession mem(1);
+        accounted = obs::mem_enabled();
+        want = balance_seeds(o, r, k);
+        for (const auto& t : mem.snapshot().tags) {
+          if (t.tag == obs::MemTag::kSeeds) charged = t.total;
+        }
+      }
+      const std::size_t bytes = balance_seeds_into(o, r, k, out, scratch);
+      ASSERT_EQ(out, want) << "o=" << to_string(o) << " r=" << to_string(r)
+                           << " k=" << k;
+      if (accounted) {
+        ASSERT_EQ(bytes, charged);
+      }
+      if (r.level > o.level) {
+        ++finer;
+      } else if (want.empty()) {
+        ++balanced;
+        ASSERT_EQ(bytes, 0u);
+      } else {
+        ++seeded;
+      }
+    }
+  }
+  EXPECT_GT(finer, 0u);
+  EXPECT_GT(balanced, 0u);
+  EXPECT_GT(seeded, 0u);
+}
+
+TEST(SeedsInto, MatchesChargingWrapper2D) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) seeds_into_matches_wrapper<2>(seed);
+}
+TEST(SeedsInto, MatchesChargingWrapper3D) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) seeds_into_matches_wrapper<3>(seed);
 }
 
 }  // namespace
