@@ -53,23 +53,9 @@ void fill_rec_keys(okey_t cur, morton_t lo, morton_t hi,
   }
 }
 
-template <int D>
-void linearize_aos(std::vector<Octant<D>>& a) {
-  sort_octants(a);
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    // In Morton preorder an ancestor immediately precedes its descendants,
-    // so dropping elements that contain their successor removes all overlap.
-    if (i + 1 < a.size() && contains(a[i], a[i + 1])) continue;
-    a[w++] = a[i];
-  }
-  a.resize(w);
-}
-
 /// Fused keyed linearize: pack into pass records once, sort, and run the
-/// ancestor-drop on the raw keys, unpacking only the survivors — the
-/// record round trip replaces both the AoS record pass and the separate
-/// key-vector conversions.
+/// ancestor-drop on the raw keys, unpacking only the survivors — no
+/// separate key-vector conversions.
 template <int D>
 void linearize_keyed(std::vector<Octant<D>>& a) {
   const std::size_t n = a.size();
@@ -112,15 +98,22 @@ void linearize_keys(std::vector<okey_t>& a) {
 
 template <int D>
 void linearize(std::vector<Octant<D>>& a) {
-  // Same crossover as sort_octants: below the radix regime the AoS loop
-  // (whose sort_octants call makes the same small-n choice) is optimal and
-  // produces the identical array.
-  if (core_layout() == CoreLayout::kKeySoA &&
-      a.size() >= detail::kRadixThreshold) {
+  // Same crossover as sort_octants: below the radix regime sorting in place
+  // and dropping ancestors directly is optimal and produces the identical
+  // array.
+  if (a.size() >= detail::kRadixThreshold) {
     linearize_keyed(a);
     return;
   }
-  linearize_aos(a);
+  sort_octants(a);
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    // In Morton preorder an ancestor immediately precedes its descendants,
+    // so dropping elements that contain their successor removes all overlap.
+    if (i + 1 < a.size() && contains(a[i], a[i + 1])) continue;
+    a[w++] = a[i];
+  }
+  a.resize(w);
 }
 
 template <int D>
@@ -197,23 +190,8 @@ template <int D>
 std::vector<Octant<D>> complete(const std::vector<Octant<D>>& a,
                                 const Octant<D>& root) {
   assert(is_linear(a));
-  if (core_layout() == CoreLayout::kKeySoA) {
-    const std::vector<okey_t> keys = octants_to_keys(a);
-    return keys_to_octants<D>(complete_keys<D>(keys, key_of(root)));
-  }
-  const obs::MemScope fill(obs::MemTag::kLinearize,
-                           (a.size() * 2 + 8) * sizeof(Octant<D>));
-  std::vector<Octant<D>> out;
-  out.reserve(a.size() * 2 + 8);
-  std::optional<Octant<D>> prev;
-  for (const Octant<D>& o : a) {
-    assert(contains(root, o));
-    fill_gap(root, prev, std::optional<Octant<D>>{o}, out);
-    out.push_back(o);
-    prev = o;
-  }
-  fill_gap(root, prev, std::optional<Octant<D>>{}, out);
-  return out;
+  const std::vector<okey_t> keys = octants_to_keys(a);
+  return keys_to_octants<D>(complete_keys<D>(keys, key_of(root)));
 }
 
 template <int D>

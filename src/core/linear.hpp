@@ -6,11 +6,11 @@
 /// (no overlaps) and *complete* if consecutive leaves leave no gaps, i.e. the
 /// array tiles its root exactly (Section III of the paper).
 ///
-/// Each algorithm exists twice: the AoS reference over Octant<D> arrays and
-/// a key-native version over packed-key arrays (core/key.hpp) whose inner
-/// loops are prefix tests and shifts.  The AoS entry points dispatch on
-/// core_layout(); results are byte-identical either way
-/// (tests/test_core_differential.cpp).
+/// Linearize and Complete run on packed keys (core/key.hpp), whose inner
+/// loops are prefix tests and shifts.  The Octant<D> entry points pack at
+/// the boundary (below the radix crossover linearize sorts in place
+/// instead); the `_keys` variants serve key-resident callers.
+/// tests/test_core_differential.cpp checks both against a small oracle.
 
 #include <optional>
 #include <vector>

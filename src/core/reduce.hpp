@@ -9,11 +9,11 @@
 /// satisfies |R| <= |S| / 2^D, and complete(R) == S: Reduce is a lossless
 /// compression of complete linear octrees.
 ///
-/// The key-native path runs the same single-pass loop over packed keys with
-/// preclusion as shift-prefix tests; reduce() dispatches on core_layout().
-/// The per-query find_precluding_le keeps its AoS binary search (converting
-/// the array per query would defeat it); find_precluding_le_keys is the
-/// key-native entry for key-resident callers.
+/// reduce() packs the array and runs the single-pass loop over keys, with
+/// preclusion as shift-prefix tests.  The per-query find_precluding_le
+/// keeps its binary search over Octant<D> (converting the array per query
+/// would defeat it); find_precluding_le_keys is the key-native entry for
+/// key-resident callers.
 
 #include <vector>
 

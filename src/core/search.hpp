@@ -10,12 +10,13 @@
 /// element at most once per matching query, so a batch of Q point queries
 /// costs O(Q log N) rather than O(Q N).
 ///
-/// The key-native variants run the identical recursion over packed keys
-/// (core/key.hpp): the child split is a shift-or, the range partition
-/// compares normalized keys, and point containment is a prefix test on the
-/// precomputed finest-cell key.  search_tree and locate_points dispatch on
-/// core_layout(); the per-query find_containing_leaf keeps its AoS binary
-/// search, with find_containing_leaf_keys as the key-resident entry.
+/// The recursion runs over packed keys (core/key.hpp): the child split is a
+/// shift-or, the range partition compares Morton intervals, and point
+/// containment is a prefix test on the precomputed finest-cell key.
+/// search_tree and locate_points pack the Octant<D> array once and call
+/// the `_keys` variants; the per-query find_containing_leaf keeps its
+/// binary search over Octant<D>, with find_containing_leaf_keys as the
+/// key-resident entry.
 
 #include <functional>
 #include <vector>
@@ -64,7 +65,7 @@ std::vector<std::size_t> locate_points(
     const std::vector<Octant<D>>& leaves, const Octant<D>& root,
     const std::vector<std::array<coord_t, D>>& points);
 
-/// Key-native batch point location (the kKeySoA body of locate_points).
+/// Key-native batch point location (the body of locate_points).
 template <int D>
 std::vector<std::size_t> locate_points_keys(
     KeySpan leaves, okey_t root,

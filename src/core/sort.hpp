@@ -9,15 +9,12 @@
 /// typically 2-4x faster than std::sort for large arrays.  Falls back to
 /// std::sort below a small-size threshold.
 ///
-/// Two layouts share the pass structure (one level/width pass, then 8-bit
-/// digits over the Morton code, degenerate passes skipped): the AoS
-/// reference path moves (key, Octant) records, the key-SoA path moves
-/// 16-byte (normalized, packed) key records (core/key.hpp) — no
-/// per-element struct moves.  The key path additionally builds every
-/// digit histogram in a single read so executed passes are scatter-only,
-/// and the dispatched sort_octants packs/unpacks records in the same
-/// loops, with no intermediate key vector.  sort_octants dispatches on
-/// core_layout(); both orders are byte-identical.
+/// The passes (one level/width pass, then 8-bit digits over the
+/// normalized key, degenerate passes skipped) move 16-byte (normalized,
+/// packed) key records (core/key.hpp) — no per-element struct moves.
+/// Every digit histogram is built in a single read so executed passes are
+/// scatter-only, and sort_octants packs/unpacks the records in the same
+/// loops, with no intermediate key vector.
 
 #include <vector>
 
@@ -27,7 +24,7 @@
 namespace octbal {
 
 /// Counting-pass accounting for the radix sorts, pinned by the perf guards:
-/// a layout or tuning regression that changes how many passes a fixed
+/// a record-format or tuning regression that changes how many passes a fixed
 /// workload needs fails tier-1 before it costs wall-clock.
 struct RadixStats {
   std::uint64_t level_passes = 0;  ///< width/level tie-break passes run
@@ -54,16 +51,15 @@ namespace detail {
 /// perf pass (see CHANGES.md): insertion sort wins below ~24 elements,
 /// std::sort up to ~64, and above that the LSD radix sort with degenerate
 /// byte passes skipped is fastest on both uniform-random and shallow
-/// (level <= 6) octant sets.  Shared by the key-SoA linearize, whose fused
-/// path only pays off once the radix regime starts.
+/// (level <= 6) octant sets.  Shared by linearize, whose fused keyed path
+/// only pays off once the radix regime starts.
 inline constexpr std::size_t kInsertionThreshold = 24;
 inline constexpr std::size_t kRadixThreshold = 64;
 
-/// The record the key-SoA radix passes move: the normalized key carries
-/// the spatial digits, the raw packed key the width tie-break — together
-/// they are the key_less order, precomputed so the counting/scatter loops
-/// touch nothing but plain bytes.  Half the width of the AoS (key, Octant)
-/// record, which is where the pass throughput comes from.
+/// The record the radix passes move: the normalized key carries the
+/// spatial digits, the raw packed key the width tie-break — together they
+/// are the key_less order, precomputed so the counting/scatter loops touch
+/// nothing but plain bytes.
 struct KeyRec {
   okey_t norm;
   okey_t key;
@@ -77,8 +73,7 @@ void radix_sort_recs(std::vector<KeyRec>& cur, std::vector<KeyRec>& tmp,
                      RadixStats* stats);
 
 /// Pack an extended-valid octant straight into a pass record: one Morton
-/// interleave (the same work the AoS path spends building its record), the
-/// normalization folded in as constant shifts.
+/// interleave, the normalization folded in as constant shifts.
 template <int D>
 inline KeyRec key_rec_of(const Octant<D>& o) {
   const morton_t m = morton_key(o);

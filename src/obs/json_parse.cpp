@@ -36,7 +36,12 @@ bool JsonValue::bool_or(std::string_view key, bool def) const {
 }
 
 std::uint64_t JsonValue::as_uint() const {
-  if (kind != Kind::kNumber || num < 0 || num != std::floor(num)) return 0;
+  // 2^64 is exact as a double; converting anything at or above it (or an
+  // infinity) to uint64_t would be undefined.
+  if (kind != Kind::kNumber || num < 0 || num != std::floor(num) ||
+      num >= 18446744073709551616.0) {
+    return 0;
+  }
   return static_cast<std::uint64_t>(num);
 }
 
@@ -46,6 +51,12 @@ bool JsonValue::is_integer() const {
 }
 
 namespace {
+
+/// Deepest container nesting accepted.  Every nested '[' or '{' costs one
+/// recursion frame (and one level of recursive destruction), so hostile
+/// input could otherwise exhaust the stack; our own reports nest fewer
+/// than ten levels deep.
+constexpr int kMaxNesting = 256;
 
 class Parser {
  public:
@@ -120,51 +131,60 @@ class Parser {
     return true;
   }
 
+  bool object(JsonValue& v) {
+    v.kind = JsonValue::Kind::kObject;
+    ++i_;
+    skip();
+    if (i_ < s_.size() && s_[i_] == '}') return ++i_, true;
+    while (true) {
+      std::string key;
+      skip();
+      if (!string(key)) return false;
+      skip();
+      if (i_ >= s_.size() || s_[i_] != ':') return fail("expected ':'");
+      ++i_;
+      skip();
+      if (!value(v.obj[key])) return false;
+      skip();
+      if (i_ < s_.size() && s_[i_] == ',') {
+        ++i_;
+        continue;
+      }
+      break;
+    }
+    if (i_ >= s_.size() || s_[i_] != '}') return fail("expected '}'");
+    return ++i_, true;
+  }
+
+  bool array(JsonValue& v) {
+    v.kind = JsonValue::Kind::kArray;
+    ++i_;
+    skip();
+    if (i_ < s_.size() && s_[i_] == ']') return ++i_, true;
+    while (true) {
+      v.arr.emplace_back();
+      skip();
+      if (!value(v.arr.back())) return false;
+      skip();
+      if (i_ < s_.size() && s_[i_] == ',') {
+        ++i_;
+        continue;
+      }
+      break;
+    }
+    if (i_ >= s_.size() || s_[i_] != ']') return fail("expected ']'");
+    return ++i_, true;
+  }
+
   bool value(JsonValue& v) {
     if (i_ >= s_.size()) return fail("unexpected end of input");
     const char c = s_[i_];
-    if (c == '{') {
-      v.kind = JsonValue::Kind::kObject;
-      ++i_;
-      skip();
-      if (i_ < s_.size() && s_[i_] == '}') return ++i_, true;
-      while (true) {
-        std::string key;
-        skip();
-        if (!string(key)) return false;
-        skip();
-        if (i_ >= s_.size() || s_[i_] != ':') return fail("expected ':'");
-        ++i_;
-        skip();
-        if (!value(v.obj[key])) return false;
-        skip();
-        if (i_ < s_.size() && s_[i_] == ',') {
-          ++i_;
-          continue;
-        }
-        break;
-      }
-      if (i_ >= s_.size() || s_[i_] != '}') return fail("expected '}'");
-      return ++i_, true;
-    }
-    if (c == '[') {
-      v.kind = JsonValue::Kind::kArray;
-      ++i_;
-      skip();
-      if (i_ < s_.size() && s_[i_] == ']') return ++i_, true;
-      while (true) {
-        v.arr.emplace_back();
-        skip();
-        if (!value(v.arr.back())) return false;
-        skip();
-        if (i_ < s_.size() && s_[i_] == ',') {
-          ++i_;
-          continue;
-        }
-        break;
-      }
-      if (i_ >= s_.size() || s_[i_] != ']') return fail("expected ']'");
-      return ++i_, true;
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxNesting) return fail("nesting too deep");
+      ++depth_;
+      const bool ok = c == '{' ? object(v) : array(v);
+      --depth_;
+      return ok;
     }
     if (c == '"') {
       v.kind = JsonValue::Kind::kString;
@@ -203,6 +223,7 @@ class Parser {
   std::string_view s_;
   std::string* error_;
   std::size_t i_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

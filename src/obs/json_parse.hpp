@@ -9,8 +9,9 @@
 /// escapes degrade to '?', which none of our documents contain), numbers
 /// parsed as doubles with an exact-integer view for counter fields.
 /// Malformed input — truncated documents, invalid escapes, numbers that
-/// overflow a double — comes back as a structured (message, byte offset)
-/// error through json_parse's out-param, never an assert.  Grew out of
+/// overflow a double, containers nested deeper than a fixed cap — comes
+/// back as a structured (message, byte offset) error through json_parse's
+/// out-param, never an assert or a stack overflow.  Grew out of
 /// the MiniJsonParser that used to live in tests/test_obs.cpp.
 
 #include <cstdint>
@@ -53,7 +54,7 @@ struct JsonValue {
   bool bool_or(std::string_view key, bool def) const;
 
   /// This number viewed as an exact unsigned counter (0 when negative,
-  /// fractional, or not a number).
+  /// fractional, 2^64 or larger, or not a number).
   std::uint64_t as_uint() const;
 
   /// True when the number is integral (counter-like) — the diff layer

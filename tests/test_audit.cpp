@@ -59,9 +59,6 @@ TEST(Audit, InjectedBalanceBugIsCaughtAndShrunk) {
         << f.invariant << ": " << f.detail;
     EXPECT_NE(f.repro.find("TEST(FuzzRegression, Seed"), std::string::npos);
     EXPECT_NE(f.repro.find("forest_balance_serial"), std::string::npos);
-    // The repro must pin the core layout the failure was found under.
-    EXPECT_NE(f.repro.find("ScopedCoreLayout layout(CoreLayout::"),
-              std::string::npos);
     EXPECT_FALSE(f.config.empty());
     EXPECT_GT(f.repro_octants, 0u);
     smallest = std::min(smallest, f.repro_octants);
@@ -289,23 +286,6 @@ TEST(Audit, CaseGenerationIsDeterministic) {
       EXPECT_EQ(make_case<3>(a).leaves, make_case<3>(b).leaves);
     }
   }
-}
-
-TEST(Audit, CoreLayoutDimensionCoversBothKernels) {
-  // The layout dimension must actually split the seed space: both the
-  // packed-key SoA kernels and the AoS reference have to keep appearing
-  // under fuzz fire, and describe() must carry the flag into reports.
-  int keysoa = 0, aos = 0;
-  for (std::uint64_t seed = 0; seed < 64; ++seed) {
-    const CaseConfig c = random_case_config(seed);
-    (c.layout == CoreLayout::kKeySoA ? keysoa : aos)++;
-    EXPECT_NE(describe(c).find(c.layout == CoreLayout::kKeySoA
-                                   ? "layout=keysoa"
-                                   : "layout=aos"),
-              std::string::npos);
-  }
-  EXPECT_GT(keysoa, 8);
-  EXPECT_GT(aos, 8);
 }
 
 }  // namespace

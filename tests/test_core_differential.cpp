@@ -1,72 +1,121 @@
 /// \file test_core_differential.cpp
-/// \brief The core-layout differential battery: every ported kernel is fed
-/// identical inputs under CoreLayout::kAoS and CoreLayout::kKeySoA and must
-/// produce byte-identical outputs — including every instrumentation counter
-/// (HashStats, SubtreeBalanceStats, OwnerScanStats), since probe sequences
-/// and pass schedules are part of the byte-identity contract the perf
-/// guards pin.  Inputs cover random linear sets, random complete trees, and
-/// the two paper workloads (fractal, ice sheet); the forest-level pipeline
-/// runs at 1, 4 and 8 threads (ctest label: tsan).
+/// \brief The core differential battery: every packed-key kernel (sort,
+/// linearize, complete, reduce, search, the octant hash set) is fed the
+/// same inputs as a small array-of-Octant oracle kept in this file and
+/// must produce identical outputs.  The oracles are deliberately naive —
+/// std::sort on operator<, the fill_gap recursion, a recursive visit,
+/// per-point binary searches — and none of them runs on packed keys.
+/// Inputs cover random linear sets, random complete trees, and the two
+/// paper workloads (fractal, ice sheet), on both sides of the small-n
+/// crossover.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <optional>
+#include <set>
 #include <tuple>
 
-#include "core/balance_subtree.hpp"
 #include "core/key.hpp"
 #include "core/linear.hpp"
 #include "core/octant_hash.hpp"
 #include "core/reduce.hpp"
 #include "core/search.hpp"
 #include "core/sort.hpp"
-#include "forest/balance.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "workload/workloads.hpp"
 
 namespace octbal {
 namespace {
 
-class ThreadGuard {
- public:
-  ThreadGuard() : saved_(par::num_threads()) {}
-  ~ThreadGuard() { par::set_num_threads(saved_); }
+namespace oracle {
 
- private:
-  int saved_;
-};
-
-bool stats_equal(const SubtreeBalanceStats& a, const SubtreeBalanceStats& b) {
-  return a.hash_queries == b.hash_queries && a.hash_probes == b.hash_probes &&
-         a.hash_rehash_probes == b.hash_rehash_probes &&
-         a.binary_searches == b.binary_searches &&
-         a.sorted_octants == b.sorted_octants &&
-         a.output_octants == b.output_octants;
+template <int D>
+std::vector<Octant<D>> sorted(std::vector<Octant<D>> a) {
+  std::sort(a.begin(), a.end());
+  return a;
 }
 
-bool stats_equal(const OwnerScanStats& a, const OwnerScanStats& b) {
-  return a.lookups == b.lookups && a.cache_hits == b.cache_hits &&
-         a.window_scans == b.window_scans &&
-         a.full_searches == b.full_searches && a.comparisons == b.comparisons;
+/// Sort, then drop every element that contains its successor.
+template <int D>
+std::vector<Octant<D>> linearized(std::vector<Octant<D>> a) {
+  a = sorted<D>(std::move(a));
+  std::vector<Octant<D>> out;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (i + 1 < a.size() && contains(a[i], a[i + 1])) continue;
+    out.push_back(a[i]);
+  }
+  return out;
 }
 
-bool stats_equal(const HashStats& a, const HashStats& b) {
-  return a.queries == b.queries && a.probes == b.probes &&
-         a.rehash_probes == b.rehash_probes;
+/// Fill every gap before, between and after the elements with fill_gap.
+template <int D>
+std::vector<Octant<D>> completed(const std::vector<Octant<D>>& a,
+                                 const Octant<D>& root) {
+  std::vector<Octant<D>> out;
+  std::optional<Octant<D>> prev;
+  for (const Octant<D>& o : a) {
+    fill_gap(root, prev, std::optional<Octant<D>>{o}, out);
+    out.push_back(o);
+    prev = o;
+  }
+  fill_gap(root, prev, std::optional<Octant<D>>{}, out);
+  return out;
 }
 
-/// Run \p fn once per layout and require identical results.
-template <typename Fn>
-auto both_layouts_agree(Fn&& fn) {
-  ScopedCoreLayout aos(CoreLayout::kAoS);
-  const auto ref = fn();
-  set_core_layout(CoreLayout::kKeySoA);
-  const auto got = fn();
-  EXPECT_EQ(got, ref);
-  return ref;
+/// Figure 8 of the paper, with the root neither precluding nor precluded.
+template <int D>
+std::vector<Octant<D>> reduced(const std::vector<Octant<D>>& s) {
+  const auto lt = [](const Octant<D>& r, const Octant<D>& o) {
+    return r.level != 0 && o.level != 0 && precludes_lt(r, o);
+  };
+  const auto le = [](const Octant<D>& r, const Octant<D>& o) {
+    return r.level == 0 || o.level == 0 ? r == o : precludes_le(r, o);
+  };
+  std::vector<Octant<D>> r;
+  for (const Octant<D>& o : s) {
+    const Octant<D> c = zero_sibling(o);
+    if (r.empty()) {
+      r.push_back(c);
+    } else if (lt(r.back(), c)) {
+      r.back() = c;
+    } else if (!le(c, r.back())) {
+      r.push_back(c);
+    }
+  }
+  return r;
 }
+
+template <int D>
+using PreTrace = std::vector<std::tuple<Octant<D>, std::size_t, std::size_t>>;
+template <int D>
+using LeafTrace = std::vector<std::pair<Octant<D>, std::size_t>>;
+
+/// The search_tree visit order: each nonempty virtual node, then its
+/// children in Morton order, each owning the leaves it contains.
+template <int D>
+void visit(const std::vector<Octant<D>>& leaves, const Octant<D>& node,
+           std::size_t lo, std::size_t hi, PreTrace<D>& pre,
+           LeafTrace<D>& leaf) {
+  if (lo >= hi) return;
+  pre.emplace_back(node, lo, hi);
+  if (hi - lo == 1 && leaves[lo] == node) {
+    leaf.emplace_back(node, lo);
+    return;
+  }
+  std::size_t begin = lo;
+  for (int c = 0; c < num_children<D>; ++c) {
+    const Octant<D> ch = child(node, c);
+    std::size_t next = begin;
+    while (next < hi && contains(ch, leaves[next])) ++next;
+    visit(leaves, ch, begin, next, pre, leaf);
+    begin = next;
+  }
+}
+
+}  // namespace oracle
 
 /// The input families of the battery: random scatter, random complete
 /// trees, and leaf arrays of the two paper workloads.
@@ -137,17 +186,11 @@ TYPED_TEST(CoreDifferentialTypedTest, SortIsByteIdentical) {
     auto data = shuffled<D>(input, 5);
     data.insert(data.end(), input.begin(),
                 input.begin() + static_cast<std::ptrdiff_t>(input.size() / 3));
-    const auto sorted = both_layouts_agree([&] {
-      auto copy = data;
-      sort_octants(copy);
-      return copy;
-    });
-    ASSERT_TRUE(std::is_sorted(sorted.begin(), sorted.end(),
-                               [](const Octant<D>& a, const Octant<D>& b) {
-                                 return a < b;
-                               }));
-    // The raw key array sorted by sort_keys matches the packed AoS result
-    // bit for bit (memcmp, not just operator==; empty arrays may carry null
+    auto sorted = data;
+    sort_octants(sorted);
+    ASSERT_EQ(sorted, oracle::sorted<D>(data));
+    // The raw key array sorted by sort_keys matches the packed result bit
+    // for bit (memcmp, not just operator==; empty arrays may carry null
     // data pointers, which memcmp must not see).
     auto keys = octants_to_keys(data);
     sort_keys(keys);
@@ -164,22 +207,24 @@ TYPED_TEST(CoreDifferentialTypedTest, LinearizeCompleteReduceAgree) {
   constexpr int D = TypeParam::d;
   const auto root = root_octant<D>();
   for (const auto& input : battery_inputs<D>(1002)) {
-    const auto lin = both_layouts_agree([&] {
-      auto copy = shuffled<D>(input, 9);
-      linearize(copy);
-      return copy;
-    });
+    auto lin = shuffled<D>(input, 9);
+    linearize(lin);
+    ASSERT_EQ(lin, oracle::linearized<D>(input));
     ASSERT_TRUE(is_linear(lin));
     EXPECT_TRUE(is_linear_keys(octants_to_keys(lin)));
+    auto lin_keys = octants_to_keys(shuffled<D>(input, 9));
+    linearize_keys(lin_keys);
+    EXPECT_EQ(lin_keys, octants_to_keys(lin));
 
-    const auto comp =
-        both_layouts_agree([&] { return complete(lin, root); });
+    const auto comp = complete(lin, root);
+    ASSERT_EQ(comp, oracle::completed<D>(lin, root));
     ASSERT_TRUE(is_complete(comp, root));
     EXPECT_TRUE(is_complete_keys<D>(octants_to_keys(comp), key_of(root)));
 
-    const auto red = both_layouts_agree([&] { return reduce(comp); });
-    // Key-native queries against the reduced array match the AoS binary
-    // search for both members and misses.
+    const auto red = reduce(comp);
+    ASSERT_EQ(red, oracle::reduced<D>(comp));
+    // Key-native queries against the reduced array match the Octant<D>
+    // binary search for both members and misses.
     const auto red_keys = octants_to_keys(red);
     Rng rng(1003);
     for (int q = 0; q < 200 && !comp.empty(); ++q) {
@@ -202,35 +247,31 @@ TYPED_TEST(CoreDifferentialTypedTest, SearchAgrees) {
     auto leaves = input;
     linearize(leaves);
 
-    // search_tree: record the full (octant, range) visit trace per layout.
-    using Visit = std::tuple<Octant<D>, std::size_t, std::size_t>;
-    const auto trace = both_layouts_agree([&] {
-      std::vector<Visit> pre_trace;
-      std::vector<std::pair<Octant<D>, std::size_t>> leaf_trace;
-      search_tree<D>(
-          leaves, root,
-          [&](const Octant<D>& o, std::size_t lo, std::size_t hi) {
-            pre_trace.emplace_back(o, lo, hi);
-            return true;
-          },
-          [&](const Octant<D>& o, std::size_t i) {
-            leaf_trace.emplace_back(o, i);
-          });
-      return std::make_pair(pre_trace, leaf_trace);
-    });
-    EXPECT_EQ(trace.second.size(), leaves.size());
+    // search_tree: the full (octant, range) visit trace.
+    oracle::PreTrace<D> pre_ref, pre_got;
+    oracle::LeafTrace<D> leaf_ref, leaf_got;
+    oracle::visit<D>(leaves, root, 0, leaves.size(), pre_ref, leaf_ref);
+    search_tree<D>(
+        leaves, root,
+        [&](const Octant<D>& o, std::size_t lo, std::size_t hi) {
+          pre_got.emplace_back(o, lo, hi);
+          return true;
+        },
+        [&](const Octant<D>& o, std::size_t i) { leaf_got.emplace_back(o, i); });
+    EXPECT_EQ(pre_got, pre_ref);
+    EXPECT_EQ(leaf_got, leaf_ref);
+    EXPECT_EQ(leaf_got.size(), leaves.size());
 
     std::vector<std::array<coord_t, D>> points;
     for (int i = 0; i < 300; ++i) {
       points.push_back(random_octant(rng, root, max_level<D>).x);
     }
-    const auto located = both_layouts_agree(
-        [&] { return locate_points<D>(leaves, root, points); });
+    const auto located = locate_points<D>(leaves, root, points);
     const auto leaf_keys = octants_to_keys(leaves);
     for (std::size_t i = 0; i < points.size(); ++i) {
-      EXPECT_EQ(find_containing_leaf_keys<D>(leaf_keys, points[i]),
-                find_containing_leaf<D>(leaves, points[i]));
-      EXPECT_EQ(find_containing_leaf<D>(leaves, points[i]), located[i]);
+      const std::size_t ref = find_containing_leaf<D>(leaves, points[i]);
+      EXPECT_EQ(located[i], ref);
+      EXPECT_EQ(find_containing_leaf_keys<D>(leaf_keys, points[i]), ref);
     }
   }
 }
@@ -243,105 +284,57 @@ TYPED_TEST(CoreDifferentialTypedTest, HashSetProbesAndOrderAgree) {
   for (int i = 0; i < 3000; ++i) {
     ops.push_back(random_octant(rng, root, max_level<D>));
   }
-  HashStats ref_stats, key_stats;
-  std::vector<Octant<D>> ref_out, key_out;
-  {
-    ScopedCoreLayout aos(CoreLayout::kAoS);
-    OctantHashSet<D> set(16, &ref_stats);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      set.insert(ops[i]);
-      if (i % 3 == 0) set.contains(ops[ops.size() - 1 - i]);
-      if (i % 7 == 0) set.tag(ops[i / 2]);
+  // The same operation stream through the Octant<D> adapters, the _key
+  // entry points, and a std::set oracle (tags land only on members).
+  HashStats oct_stats, key_stats;
+  OctantHashSet<D> by_oct(16, &oct_stats), by_key(16, &key_stats);
+  std::set<Octant<D>> members, tagged;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Octant<D>& o = ops[i];
+    const Octant<D>& other = ops[ops.size() - 1 - i];
+    const bool fresh = members.insert(o).second;
+    EXPECT_EQ(by_oct.insert(o), fresh);
+    EXPECT_EQ(by_key.insert_key(key_of(o)), fresh);
+    if (i % 3 == 0) {
+      const bool in = members.count(other) != 0;
+      EXPECT_EQ(by_oct.contains(other), in);
+      EXPECT_EQ(by_key.contains_key(key_of(other)), in);
     }
-    set.collect(ref_out, /*skip_tagged=*/true);
-  }
-  {
-    ScopedCoreLayout soa(CoreLayout::kKeySoA);
-    OctantHashSet<D> set(16, &key_stats);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      set.insert_key(key_of(ops[i]));
-      if (i % 3 == 0) set.contains_key(key_of(ops[ops.size() - 1 - i]));
-      if (i % 7 == 0) set.tag_key(key_of(ops[i / 2]));
-    }
-    std::vector<okey_t> keys;
-    set.collect_keys(keys, /*skip_tagged=*/true);
-    key_out = keys_to_octants<D>(keys);
-    // Counter comparison excludes the adapter checks below, which add
-    // queries of their own.
-    const HashStats at_parity = key_stats;
-    // The AoS adapter entry points must hit the same slots as the _key ones.
-    for (const auto& o : ops) {
-      EXPECT_TRUE(set.contains(o));
-      EXPECT_EQ(set.is_tagged(o), set.is_tagged_key(key_of(o)));
-    }
-    key_stats = at_parity;
-  }
-  EXPECT_EQ(key_out, ref_out);  // identical slot layout => identical order
-  EXPECT_EQ(ref_stats.queries, key_stats.queries);
-  EXPECT_EQ(ref_stats.probes, key_stats.probes);
-  EXPECT_EQ(ref_stats.rehash_probes, key_stats.rehash_probes);
-}
-
-TYPED_TEST(CoreDifferentialTypedTest, SubtreeBalanceStatsAgree) {
-  constexpr int D = TypeParam::d;
-  const auto root = root_octant<D>();
-  for (const auto& input : battery_inputs<D>(1007)) {
-    auto s = input;
-    linearize(s);
-    for (const auto algo : {SubtreeAlgo::kOld, SubtreeAlgo::kNew}) {
-      SubtreeBalanceStats ref_stats, key_stats;
-      std::vector<Octant<D>> ref, got;
-      {
-        ScopedCoreLayout aos(CoreLayout::kAoS);
-        ref = balance_subtree(algo, s, 1, root, &ref_stats);
-      }
-      {
-        ScopedCoreLayout soa(CoreLayout::kKeySoA);
-        got = balance_subtree(algo, s, 1, root, &key_stats);
-      }
-      EXPECT_EQ(got, ref);
-      EXPECT_TRUE(stats_equal(ref_stats, key_stats))
-          << "hash_queries " << ref_stats.hash_queries << " vs "
-          << key_stats.hash_queries << ", probes " << ref_stats.hash_probes
-          << " vs " << key_stats.hash_probes;
+    if (i % 7 == 0) {
+      const Octant<D>& t = ops[i / 2];
+      if (members.count(t)) tagged.insert(t);
+      by_oct.tag(t);
+      by_key.tag_key(key_of(t));
     }
   }
+  EXPECT_EQ(by_oct.size(), members.size());
+  EXPECT_EQ(by_key.size(), members.size());
+  // Both entry points probe the same slots, so the counters and the slot
+  // order of collect agree exactly.
+  EXPECT_EQ(oct_stats.queries, key_stats.queries);
+  EXPECT_EQ(oct_stats.probes, key_stats.probes);
+  EXPECT_EQ(oct_stats.rehash_probes, key_stats.rehash_probes);
+  std::vector<Octant<D>> oct_out;
+  by_oct.collect(oct_out, /*skip_tagged=*/true);
+  std::vector<okey_t> key_out;
+  by_key.collect_keys(key_out, /*skip_tagged=*/true);
+  EXPECT_EQ(octants_to_keys(oct_out), key_out);
+
+  std::set<Octant<D>> untagged;
+  std::set_difference(members.begin(), members.end(), tagged.begin(),
+                      tagged.end(), std::inserter(untagged, untagged.end()));
+  EXPECT_EQ(std::set<Octant<D>>(oct_out.begin(), oct_out.end()), untagged);
+  EXPECT_EQ(oct_out.size(), untagged.size());
+  std::vector<Octant<D>> all;
+  by_oct.collect(all);
+  EXPECT_EQ(std::set<Octant<D>>(all.begin(), all.end()), members);
+
+  for (const auto& o : ops) {
+    EXPECT_EQ(by_key.is_tagged(o), tagged.count(o) != 0);
+    EXPECT_EQ(by_key.is_tagged(o), by_key.is_tagged_key(key_of(o)));
+    EXPECT_EQ(by_oct.is_tagged(o), by_key.is_tagged(o));
+  }
 }
-
-class CoreDifferentialThreads : public ::testing::TestWithParam<int> {};
-
-TEST_P(CoreDifferentialThreads, ForestPipelineByteIdenticalAcrossLayouts) {
-  ThreadGuard guard;
-  par::set_num_threads(GetParam());
-  const auto conn = Connectivity<3>::brick({2, 2, 1});
-  const int ranks = 7;
-  const auto run = [&] {
-    Forest<3> f(conn, ranks, 1);
-    Rng rng(42);
-    random_refine(f, rng, 5, 0.3);
-    f.partition_uniform();
-    SimComm comm(ranks);
-    BalanceOptions opt;  // new_config
-    opt.k = 1;
-    const BalanceReport rep = balance(f, opt, comm);
-    return std::make_pair(f.gather(), rep);
-  };
-  ScopedCoreLayout aos(CoreLayout::kAoS);
-  const auto ref = run();
-  set_core_layout(CoreLayout::kKeySoA);
-  const auto got = run();
-  EXPECT_EQ(got.first, ref.first);
-  EXPECT_TRUE(stats_equal(got.second.subtree, ref.second.subtree));
-  EXPECT_TRUE(stats_equal(got.second.owner_scan, ref.second.owner_scan));
-  EXPECT_EQ(got.second.comm.bytes, ref.second.comm.bytes);
-  EXPECT_EQ(got.second.comm.messages, ref.second.comm.messages);
-  EXPECT_EQ(got.second.notify_comm.bytes, ref.second.notify_comm.bytes);
-  EXPECT_EQ(got.second.queries_sent, ref.second.queries_sent);
-  EXPECT_EQ(got.second.response_items, ref.second.response_items);
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, CoreDifferentialThreads,
-                         ::testing::Values(1, 4, 8));
 
 }  // namespace
 }  // namespace octbal

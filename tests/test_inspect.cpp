@@ -138,6 +138,31 @@ TEST(JsonParse, NumericOverflowAndMalformedNumbers) {
   EXPECT_DOUBLE_EQ(v.num, 1e308);
   ASSERT_TRUE(obs::json_parse("[1.5e+3, -0.25]", v, &err)) << err;
   EXPECT_DOUBLE_EQ(v.arr[0].num, 1500.0);
+  // Integral values a uint64_t cannot hold read as 0, like negative and
+  // fractional ones; the largest double below 2^64 still converts.
+  ASSERT_TRUE(obs::json_parse(
+      R"({"peak_bytes": 1e20, "big": 18446744073709549568})", v, &err))
+      << err;
+  EXPECT_EQ(v.uint_or("peak_bytes", 7), 0u);
+  EXPECT_EQ(v.uint_or("big", 7), 18446744073709549568u);
+  ASSERT_TRUE(obs::json_parse("18446744073709551616", v, &err)) << err;
+  EXPECT_EQ(v.as_uint(), 0u);
+}
+
+TEST(JsonParse, DeepNestingIsAStructuredError) {
+  // One recursion frame per '[': 100k of them must come back as an error,
+  // not a stack overflow.
+  JsonValue v;
+  std::string err;
+  EXPECT_FALSE(obs::json_parse(std::string(100000, '['), v, &err));
+  EXPECT_NE(err.find("nesting too deep at byte"), std::string::npos) << err;
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_FALSE(obs::json_parse(objects, v, &err));
+  EXPECT_NE(err.find("nesting too deep at byte"), std::string::npos) << err;
+  // Nesting well past any report's depth still parses.
+  const std::string deep = std::string(200, '[') + std::string(200, ']');
+  EXPECT_TRUE(obs::json_parse(deep, v, &err)) << err;
 }
 
 // ----------------------------------------------------- golden round-trip --
