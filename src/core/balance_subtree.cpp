@@ -185,24 +185,29 @@ std::vector<Octant<D>> balance_subtree_new(const std::vector<Octant<D>>& s,
   local.sorted_octants = merged.size();
   const obs::MemScope working(obs::MemTag::kInsulation,
                               merged.size() * sizeof(Octant<D>));
-  sort_octants(merged);
+  // Post-processing runs on packed keys: one pack here, one unpack of the
+  // completed output.
+  std::vector<okey_t> keys = octants_to_keys(merged);
+  sort_keys(keys);
   // The explicit tags above catch preclusions against R and against the
   // octant being processed; preclusions between two *new* octants from
   // different ripple chains are caught by this O(n) sweep (overlapping
   // family representatives always preclude one another, so the sweep also
   // restores linearity before completion).
-  merged = reduce(merged);
-  drop_outside(merged, root);
+  keys = reduce_keys<D>(keys);
+  const okey_t root_key = key_of(root);
+  std::erase_if(keys, [&](okey_t o) { return !key_contains(root_key, o); });
   // reduce() can never preclude a level-0 leaf: the root has no parent, so
   // it sits outside the preclusion order.  When S is a lone root leaf and
   // exterior constraints rippled finer octants into the tree, the root
   // (always first: minimal key, coarsest tie-break) must yield or the set
   // is not linear; completion regenerates the coarse filler around the
   // survivors.
-  if (merged.size() > 1 && merged.front().level == 0) {
-    merged.erase(merged.begin());
+  if (keys.size() > 1 && key_level<D>(keys.front()) == 0) {
+    keys.erase(keys.begin());
   }
-  std::vector<Octant<D>> out = complete(merged, root);
+  std::vector<Octant<D>> out =
+      keys_to_octants<D>(complete_keys<D>(keys, root_key));
 
   local.hash_queries = hs.queries;
   local.hash_probes = hs.probes;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "core/key.hpp"
 #include "core/neighborhood.hpp"
+#include "core/sort.hpp"
 #include "obs/mem.hpp"
 
 namespace octbal {
@@ -29,28 +31,32 @@ std::vector<Octant<D>> dirty_region_cover(
   // running cover with the same drop rule: maximality under containment
   // is associative — a piece dominated within its chunk is dominated in
   // the union, and its dominator survives into the merge — so the result
-  // is identical to covering all pieces in one pass.
+  // is identical to covering all pieces in one pass.  Everything between
+  // the pack of a dirty octant and the unpack of the final cover runs on
+  // packed keys: the same-size neighbors are dilated Morton adds, the sort
+  // is the key radix sort, and containment is a shift-and-compare.
   constexpr std::size_t kChunk = 512;
   const std::size_t per = full_offsets<D>().size() + 1;
   const std::size_t chunk = std::min(dirty.size(), kChunk);
-  std::vector<Octant<D>> pieces;
+  std::vector<okey_t> pieces;
   pieces.reserve(chunk * per);
   const obs::MemScope scratch(obs::MemTag::kRegionCover,
-                              chunk * per * sizeof(Octant<D>));
+                              chunk * per * sizeof(okey_t));
   obs::MemScope cover_mem;
-  std::vector<Octant<D>> out;
-  std::vector<Octant<D>> merged;
-  Octant<D> n;
+  std::vector<okey_t> out;
+  std::vector<okey_t> merged;
+  okey_t n = 0;
   for (std::size_t c0 = 0; c0 < dirty.size(); c0 += chunk) {
     const std::size_t c1 = std::min(dirty.size(), c0 + chunk);
     pieces.clear();
     for (std::size_t q = c0; q < c1; ++q) {
-      pieces.push_back(dirty[q]);
+      const okey_t key = key_of(dirty[q]);
+      pieces.push_back(key);
       for (const auto& off : full_offsets<D>()) {
-        if (neighbor_in_root<D>(dirty[q], off, &n)) pieces.push_back(n);
+        if (key_neighbor_in_root<D>(key, off, &n)) pieces.push_back(n);
       }
     }
-    std::sort(pieces.begin(), pieces.end());
+    sort_keys(pieces);
     // Keep the coarsest pieces.  In Morton preorder a container sorts
     // before everything it contains, and any earlier non-adjacent
     // container would also contain the intervening kept piece — so
@@ -58,27 +64,27 @@ std::vector<Octant<D>> dirty_region_cover(
     // Linearize).
     std::size_t w = 0;
     for (std::size_t t = 0; t < pieces.size(); ++t) {
-      if (w > 0 && contains(pieces[w - 1], pieces[t])) continue;
+      if (w > 0 && key_contains(pieces[w - 1], pieces[t])) continue;
       pieces[w++] = pieces[t];
     }
     pieces.resize(w);
     cover_mem.set(obs::MemTag::kRegionCover,
-                  2 * (out.size() + pieces.size()) * sizeof(Octant<D>));
+                  2 * (out.size() + pieces.size()) * sizeof(okey_t));
     merged.clear();
     merged.reserve(out.size() + pieces.size());
     std::size_t a = 0, b = 0;
-    const auto push = [&](const Octant<D>& p) {
-      if (!merged.empty() && contains(merged.back(), p)) return;
+    const auto push = [&](okey_t p) {
+      if (!merged.empty() && key_contains(merged.back(), p)) return;
       merged.push_back(p);
     };
     while (a < out.size() && b < pieces.size()) {
-      push(pieces[b] < out[a] ? pieces[b++] : out[a++]);
+      push(key_less(pieces[b], out[a]) ? pieces[b++] : out[a++]);
     }
     while (a < out.size()) push(out[a++]);
     while (b < pieces.size()) push(pieces[b++]);
     out.swap(merged);
   }
-  return out;
+  return keys_to_octants<D>(out);
 }
 
 #define OCTBAL_INSTANTIATE(D)                                       \

@@ -25,7 +25,16 @@ std::vector<Octant<D>> envelope_pieces(const Octant<D>& o);
 /// whose union is exactly (∪_{o ∈ dirty} I(o)) ∩ root.  The cover keeps
 /// the coarsest envelope pieces — a piece contained in another input's
 /// coarser piece is dropped — so its size is bounded by 3^D · |dirty|
-/// independently of the forest size.
+/// independently of the forest size.  The input may hold duplicates and
+/// octants of mixed levels in any order.
+///
+/// Runs on packed keys (core/key.hpp): each dirty octant is packed once,
+/// its envelope pieces are key_neighbor_in_root offsets of the key, and
+/// the pieces are sorted with sort_keys in chunks of 512 dirty octants,
+/// each chunk reduced to its coarsest pieces and merged into the running
+/// cover; only the final cover is unpacked.  The kRegionCover charges are
+/// the 8-byte key buffers (chunk pieces, plus the cover and merge
+/// buffers); the chunk sort charges kSortScratch.
 template <int D>
 std::vector<Octant<D>> dirty_region_cover(const std::vector<Octant<D>>& dirty);
 

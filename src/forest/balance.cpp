@@ -17,7 +17,8 @@ namespace octbal {
 namespace {
 
 using detail::clip_to_span;
-using detail::linearize_treeocts;
+using detail::LeafIntervals;
+using detail::merge_linearize_treeocts;
 using detail::tree_runs;
 
 /// Wire format for one response item: a payload octant expressed in the
@@ -404,11 +405,7 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
       for (const auto& [i, j] : tree_runs(mine)) {
         runs.push_back({mine[i].tree, i, j});
       }
-      std::vector<morton_t> ibeg(mine.size()), iend(mine.size());
-      for (std::size_t i = 0; i < mine.size(); ++i) {
-        ibeg[i] = morton_key(mine[i].oct);
-        iend[i] = ibeg[i] + (morton_t{1} << (D * size_exp(mine[i].oct)));
-      }
+      const LeafIntervals<D> iv(mine);
       const auto find_run = [&](std::int32_t tree) -> const TreeRun* {
         const auto it = std::lower_bound(
             runs.begin(), runs.end(), tree,
@@ -429,17 +426,7 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
           // `xf` (null: identity).
           const auto respond = [&](const TreeRun& run, const Octant<D>& piece,
                                    const FrameTransform<D>* xf) {
-            const morton_t pb = morton_key(piece);
-            const morton_t pe = pb + (morton_t{1} << (D * size_exp(piece)));
-            const auto b = ibeg.begin(), e = iend.begin();
-            const std::size_t lo =
-                std::partition_point(e + run.lo, e + run.hi,
-                                     [&](morton_t x) { return x <= pb; }) -
-                e;
-            const std::size_t hi =
-                std::partition_point(b + lo, b + run.hi,
-                                     [&](morton_t x) { return x < pe; }) -
-                b;
+            const auto [lo, hi] = iv.overlapping(run.lo, run.hi, piece);
             for (std::size_t ji = lo; ji < hi; ++ji) {
               const Octant<D>& leaf = mine[ji].oct;
               if (leaf.level <= q.oct.level) continue;  // too coarse
@@ -578,8 +565,7 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
               balance_subtree(opt.subtree, octs, k, q.oct, &rank_subtree[r]);
           for (const auto& o : sub) extra.push_back(TreeOct<D>{q.tree, o});
         }
-        mine.insert(mine.end(), extra.begin(), extra.end());
-        linearize_treeocts(mine);
+        merge_linearize_treeocts(mine, extra);
       } else {
         // Old scheme: merge every received octant as an auxiliary
         // (possibly exterior) constraint and re-balance whole partitions.

@@ -6,7 +6,6 @@
 #include <iterator>
 #include <map>
 
-#include "core/lambda.hpp"
 #include "core/linear.hpp"
 #include "core/neighborhood.hpp"
 #include "core/region.hpp"
@@ -20,7 +19,8 @@ namespace octbal {
 namespace {
 
 using detail::clip_to_span;
-using detail::linearize_treeocts;
+using detail::LeafIntervals;
+using detail::merge_linearize_treeocts;
 using detail::tree_runs;
 
 /// Re-balance every run of \p mine whose tree has auxiliary constraints:
@@ -100,20 +100,21 @@ void grouped_apply(std::vector<TreeOct<D>>& mine,
                    std::vector<TreeOct<D>>& created) {
   if (aux.empty()) return;
   const auto& offs = full_offsets<D>();
+  const LeafIntervals<D> iv(mine);
   std::vector<TreeOct<D>> extra;
+  std::vector<std::size_t> cand;
+  std::vector<Octant<D>> seeds, seed_scratch;
   for (const auto& [i, j] : tree_runs(mine)) {
     const std::int32_t tree = mine[i].tree;
     const auto it = aux.find(tree);
     if (it == aux.end()) continue;
-    const auto run_lo = mine.begin() + static_cast<std::ptrdiff_t>(i);
-    const auto run_hi = mine.begin() + static_cast<std::ptrdiff_t>(j);
     // Constrained leaves and their constraints, grouped per leaf.  The
     // constrained leaves are found from the receiver side: every leaf a
     // constraint can violate overlaps one of the constraint's own-size
     // neighbor pieces (it is coarser by two or more levels, so it contains
     // the piece and touches the constraint).
     std::map<Octant<D>, std::vector<Octant<D>>> groups;
-    std::vector<std::size_t> cand;
+    std::size_t seeds_peak = 0;  // kSeeds bytes of the largest closure
     Octant<D> piece;
     for (const Octant<D>& o : it->second) {
       // A coarse leaf contains many of the constraint's halo pieces, so
@@ -122,21 +123,8 @@ void grouped_apply(std::vector<TreeOct<D>>& mine,
       cand.clear();
       for (const auto& off : offs) {
         if (!neighbor_in_root<D>(o, off, &piece)) continue;
-        const morton_t pb = morton_key(piece);
-        const morton_t pe = pb + (morton_t{1} << (D * size_exp(piece)));
-        auto lo = std::partition_point(
-            run_lo, run_hi, [&](const TreeOct<D>& t) {
-              return morton_key(t.oct) +
-                         (morton_t{1} << (D * size_exp(t.oct))) <=
-                     pb;
-            });
-        const auto hi =
-            std::partition_point(lo, run_hi, [&](const TreeOct<D>& t) {
-              return morton_key(t.oct) < pe;
-            });
-        for (; lo != hi; ++lo) {
-          cand.push_back(static_cast<std::size_t>(lo - mine.begin()));
-        }
+        const auto [lo, hi] = iv.overlapping(i, j, piece);
+        for (std::size_t qi = lo; qi < hi; ++qi) cand.push_back(qi);
       }
       std::sort(cand.begin(), cand.end());
       cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
@@ -144,15 +132,24 @@ void grouped_apply(std::vector<TreeOct<D>>& mine,
         const Octant<D>& q = mine[qi].oct;
         if (opt.seed_response) {
           if (o.level <= q.level + 1) continue;  // 2:1 already
-          if (balanced_pair(o, q, k)) continue;  // O(1) decision
-          for (const auto& s : balance_seeds(o, q, k)) {
-            groups[q].push_back(s);
-          }
+          // The closure opens with the O(1) balanced_pair decision and
+          // returns no seeds (and 0 bytes) when it holds.
+          seeds_peak = std::max(
+              seeds_peak, balance_seeds_into(o, q, k, seeds, seed_scratch));
+          if (seeds.empty()) continue;
+          auto& g = groups[q];
+          g.insert(g.end(), seeds.begin(), seeds.end());
         } else {
           if (o.level <= q.level) continue;  // too coarse
           groups[q].push_back(o);
         }
       }
+    }
+    {
+      // One kSeeds charge at the closures' maximum: nothing else in this
+      // rank's slot moves during the candidate loop, so every tag, rank
+      // and phase peak equals that of charging each closure in turn.
+      const obs::MemScope seeds_mem(obs::MemTag::kSeeds, seeds_peak);
     }
     for (auto& [q, octs] : groups) {
       // Sort + in-place ancestor drop (duplicate seeds from distinct
@@ -173,8 +170,7 @@ void grouped_apply(std::vector<TreeOct<D>>& mine,
   if (extra.empty()) return;
   created.insert(created.end(), extra.begin(), extra.end());
   std::sort(created.begin(), created.end());
-  mine.insert(mine.end(), extra.begin(), extra.end());
-  linearize_treeocts(mine);
+  merge_linearize_treeocts(mine, extra);
 }
 
 }  // namespace
@@ -229,6 +225,7 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
   // this pass may touch, reported for the churn benchmarks and asserted
   // by the churn tests.
   {
+    OBS_SPAN("delta_region");
     std::map<std::int32_t, std::vector<Octant<D>>> by_tree;
     for (const auto& to : validated) by_tree[to.tree].push_back(to.oct);
     for (const auto& [tree, octs] : by_tree) {
@@ -241,17 +238,20 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
   // (whole-run, no constraints yet) — the phase-1 restriction to dirty
   // runs.  Runs without a frontier octant are fixed points of local
   // balance and are skipped.  Created leaves join the frontier.
-  obs::mem_set_phase("churn/local");
-  par::parallel_for_ranks(P, [&](int r) {
-    const obs::MemRank mem_rank(r);
-    if (frontier[r].empty()) return;
-    std::map<std::int32_t, std::vector<Octant<D>>> touch;
-    for (const auto& to : frontier[r]) touch[to.tree];  // empty aux: run-only
-    std::vector<TreeOct<D>> created;
-    rebalance_with_aux(f.local(r), touch, opt, k, created);
-    frontier[r].insert(frontier[r].end(), created.begin(), created.end());
-    std::sort(frontier[r].begin(), frontier[r].end());
-  });
+  {
+    OBS_SPAN("delta_local");
+    obs::mem_set_phase("churn/local");
+    par::parallel_for_ranks(P, [&](int r) {
+      const obs::MemRank mem_rank(r);
+      if (frontier[r].empty()) return;
+      std::map<std::int32_t, std::vector<Octant<D>>> touch;
+      for (const auto& to : frontier[r]) touch[to.tree];  // empty aux
+      std::vector<TreeOct<D>> created;
+      rebalance_with_aux(f.local(r), touch, opt, k, created);
+      frontier[r].insert(frontier[r].end(), created.begin(), created.end());
+      std::sort(frontier[r].begin(), frontier[r].end());
+    });
+  }
 
   // Push rounds: every frontier octant announces itself to the owners of
   // its insulation-layer pieces (mapped into the receiver's tree frame);
@@ -271,103 +271,106 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
     (void)round_cap;
     // Build the pushes.  Self-directed constraints (same rank but another
     // tree or a wrapped frame) bypass the network straight into aux.
-    par::parallel_for_ranks(P, [&](int r) {
-      qsend[r].assign(P, {});
-      aux[r].clear();
-      OwnerWindow<D> owners(f);
-      const GlobalPos own_lo = f.marker(r);
-      const GlobalPos own_hi = f.marker(r + 1);
-      for (const auto& to : frontier[r]) {
-        const coord_t hh = side_len(to.oct);
-        bool interior = true;
-        for (int dd = 0; dd < D && interior; ++dd) {
-          interior =
-              to.oct.x[dd] >= hh && to.oct.x[dd] + 2 * hh <= root_len<D>;
-        }
-        if (interior) {
-          // Whole-envelope early-out and per-piece owner windows, exactly
-          // as in the full pipeline's query walk (balance.cpp phase 2a).
-          Octant<D> lo_p = to.oct, hi_p = to.oct;
-          for (int dd = 0; dd < D; ++dd) {
-            lo_p.x[dd] -= hh;
-            hi_p.x[dd] += hh;
+    {
+      OBS_SPAN("delta_push");
+      par::parallel_for_ranks(P, [&](int r) {
+        qsend[r].assign(P, {});
+        aux[r].clear();
+        OwnerWindow<D> owners(f);
+        const GlobalPos own_lo = f.marker(r);
+        const GlobalPos own_hi = f.marker(r + 1);
+        for (const auto& to : frontier[r]) {
+          const coord_t hh = side_len(to.oct);
+          bool interior = true;
+          for (int dd = 0; dd < D && interior; ++dd) {
+            interior =
+                to.oct.x[dd] >= hh && to.oct.x[dd] + 2 * hh <= root_len<D>;
           }
-          const GlobalPos env_lo{to.tree, morton_key(lo_p)};
-          const GlobalPos env_hi{
-              to.tree,
-              morton_key(hi_p) + (morton_t{1} << (D * size_exp(hi_p))) - 1};
-          if (own_lo <= env_lo && env_hi < own_hi) continue;
-          owners.set_window(env_lo, GlobalPos{to.tree, env_hi.key + 1});
-          const morton_t sz = morton_t{1} << (D * size_exp(to.oct));
-          for (const auto& off : offs) {
-            Octant<D> piece = to.oct;
+          if (interior) {
+            // Whole-envelope early-out and per-piece owner windows, exactly
+            // as in the full pipeline's query walk (balance.cpp phase 2a).
+            Octant<D> lo_p = to.oct, hi_p = to.oct;
             for (int dd = 0; dd < D; ++dd) {
-              piece.x[dd] += static_cast<coord_t>(off[dd]) * hh;
+              lo_p.x[dd] -= hh;
+              hi_p.x[dd] += hh;
             }
-            const GlobalPos lo{to.tree, morton_key(piece)};
-            const GlobalPos hi{to.tree, lo.key + sz};
-            if (own_lo <= lo && GlobalPos{to.tree, hi.key - 1} < own_hi) {
+            const GlobalPos env_lo{to.tree, morton_key(lo_p)};
+            const GlobalPos env_hi{
+                to.tree,
+                morton_key(hi_p) + (morton_t{1} << (D * size_exp(hi_p))) - 1};
+            if (own_lo <= env_lo && env_hi < own_hi) continue;
+            owners.set_window(env_lo, GlobalPos{to.tree, env_hi.key + 1});
+            const morton_t sz = morton_t{1} << (D * size_exp(to.oct));
+            for (const auto& off : offs) {
+              Octant<D> piece = to.oct;
+              for (int dd = 0; dd < D; ++dd) {
+                piece.x[dd] += static_cast<coord_t>(off[dd]) * hh;
+              }
+              const GlobalPos lo{to.tree, morton_key(piece)};
+              const GlobalPos hi{to.tree, lo.key + sz};
+              if (own_lo <= lo && GlobalPos{to.tree, hi.key - 1} < own_hi) {
+                continue;  // handled by this rank's own run re-balance
+              }
+              const auto [r0, r1] = owners.owners_of(lo, hi);
+              for (int dest = r0; dest <= r1; ++dest) {
+                if (f.marker(dest) == f.marker(dest + 1)) continue;  // empty
+                if (dest == r) continue;
+                qsend[r][dest].push_back(to_wire(to));
+              }
+            }
+            continue;
+          }
+          owners.clear_window();
+          for (const auto& off : offs) {
+            const auto nb = conn.neighbor(to.tree, to.oct, off);
+            if (!nb) continue;
+            const GlobalPos lo{nb->tree, morton_key(nb->oct)};
+            const GlobalPos hi{
+                nb->tree,
+                morton_key(nb->oct) + (morton_t{1} << (D * size_exp(nb->oct)))};
+            const bool same_frame =
+                nb->xform == FrameTransform<D>::identity();
+            if (nb->tree == to.tree && same_frame && own_lo <= lo &&
+                GlobalPos{nb->tree, hi.key - 1} < own_hi) {
               continue;  // handled by this rank's own run re-balance
             }
+            // The receiver holds its leaves in the neighbor tree's frame, so
+            // the announcement ships the frontier octant mapped *into* that
+            // frame (nb->xform maps neighbor -> source; its inverse maps the
+            // source octant to its — possibly exterior — image there).
+            const Octant<D> img =
+                same_frame ? to.oct : nb->xform.inverse().apply(to.oct);
             const auto [r0, r1] = owners.owners_of(lo, hi);
             for (int dest = r0; dest <= r1; ++dest) {
               if (f.marker(dest) == f.marker(dest + 1)) continue;  // empty
-              if (dest == r) continue;
-              qsend[r][dest].push_back(to_wire(to));
-            }
-          }
-          continue;
-        }
-        owners.clear_window();
-        for (const auto& off : offs) {
-          const auto nb = conn.neighbor(to.tree, to.oct, off);
-          if (!nb) continue;
-          const GlobalPos lo{nb->tree, morton_key(nb->oct)};
-          const GlobalPos hi{
-              nb->tree,
-              morton_key(nb->oct) + (morton_t{1} << (D * size_exp(nb->oct)))};
-          const bool same_frame =
-              nb->xform == FrameTransform<D>::identity();
-          if (nb->tree == to.tree && same_frame && own_lo <= lo &&
-              GlobalPos{nb->tree, hi.key - 1} < own_hi) {
-            continue;  // handled by this rank's own run re-balance
-          }
-          // The receiver holds its leaves in the neighbor tree's frame, so
-          // the announcement ships the frontier octant mapped *into* that
-          // frame (nb->xform maps neighbor -> source; its inverse maps the
-          // source octant to its — possibly exterior — image there).
-          const Octant<D> img =
-              same_frame ? to.oct : nb->xform.inverse().apply(to.oct);
-          const auto [r0, r1] = owners.owners_of(lo, hi);
-          for (int dest = r0; dest <= r1; ++dest) {
-            if (f.marker(dest) == f.marker(dest + 1)) continue;  // empty
-            if (dest == r && nb->tree == to.tree && same_frame) continue;
-            if (dest == r) {
-              aux[r][nb->tree].push_back(img);
-            } else {
-              qsend[r][dest].push_back(
-                  WireOct<D>{nb->tree, img.level, img.x});
+              if (dest == r && nb->tree == to.tree && same_frame) continue;
+              if (dest == r) {
+                aux[r][nb->tree].push_back(img);
+              } else {
+                qsend[r][dest].push_back(
+                    WireOct<D>{nb->tree, img.level, img.x});
+              }
             }
           }
         }
-      }
-      for (int dest = 0; dest < P; ++dest) {
-        auto& q = qsend[r][dest];
-        std::sort(q.begin(), q.end());
-        q.erase(std::unique(q.begin(), q.end()), q.end());
-      }
-      // The frontier's last reader is the push walk above: free it here so
-      // its bytes never overlap the exchange or the apply (it comes back
-      // as the apply's created leaves).
-      frontier[r].clear();
-      frontier[r].shrink_to_fit();
-      std::size_t staged = 0;
-      for (const auto& q : qsend[r]) staged += q.size() * sizeof(WireOct<D>);
-      for (const auto& [tree, octs] : aux[r]) {
-        staged += octs.size() * sizeof(Octant<D>);
-      }
-      stage_mem[r].set_slot(r, obs::MemTag::kBalanceStaging, staged);
-    });
+        for (int dest = 0; dest < P; ++dest) {
+          auto& q = qsend[r][dest];
+          std::sort(q.begin(), q.end());
+          q.erase(std::unique(q.begin(), q.end()), q.end());
+        }
+        // The frontier's last reader is the push walk above: free it here so
+        // its bytes never overlap the exchange or the apply (it comes back
+        // as the apply's created leaves).
+        frontier[r].clear();
+        frontier[r].shrink_to_fit();
+        std::size_t staged = 0;
+        for (const auto& q : qsend[r]) staged += q.size() * sizeof(WireOct<D>);
+        for (const auto& [tree, octs] : aux[r]) {
+          staged += octs.size() * sizeof(Octant<D>);
+        }
+        stage_mem[r].set_slot(r, obs::MemTag::kBalanceStaging, staged);
+      });
+    }
 
     // Charged termination consensus: one scalar allreduce of the round's
     // push work (network announcements plus self-directed constraints).
@@ -378,6 +381,7 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
     // pipeline's query phase where receivers are unknown to themselves.
     std::uint64_t net_total = 0, work_total = 0;
     {
+      OBS_SPAN("delta_exchange");
       comm.set_phase("churn/reduce");
       std::vector<std::uint64_t> per(P, 0);
       for (int r = 0; r < P; ++r) {
@@ -402,6 +406,7 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
     // consensus above already told every rank the round is live; skipped
     // when every constraint this round was self-directed).
     if (net_total > 0) {
+      OBS_SPAN("delta_exchange");
       comm.set_phase("churn/exchange");
       par::parallel_for_ranks(P, [&](int r) {
         for (int dest = 0; dest < P; ++dest) {
@@ -422,33 +427,36 @@ DeltaBalanceReport delta_balance(Forest<D>& f, const BalanceOptions& opt,
       });
     }
 
-    // The announcements are delivered: drop them — buffers and staging
-    // charge both — before the apply phase stacks its balance scratch on
-    // top of the same rank slots.  Only the constraints stay staged.
-    par::parallel_for_ranks(P, [&](int r) {
-      qsend[r].assign(P, {});
-      std::size_t staged = 0;
-      for (const auto& [tree, octs] : aux[r]) {
-        staged += octs.size() * sizeof(Octant<D>);
-      }
-      stage_mem[r].set_slot(r, obs::MemTag::kBalanceStaging, staged);
-    });
+    {
+      OBS_SPAN("delta_apply");
+      // The announcements are delivered: drop them — buffers and staging
+      // charge both — before the apply phase stacks its balance scratch on
+      // top of the same rank slots.  Only the constraints stay staged.
+      par::parallel_for_ranks(P, [&](int r) {
+        qsend[r].assign(P, {});
+        std::size_t staged = 0;
+        for (const auto& [tree, octs] : aux[r]) {
+          staged += octs.size() * sizeof(Octant<D>);
+        }
+        stage_mem[r].set_slot(r, obs::MemTag::kBalanceStaging, staged);
+      });
 
-    // Apply the constraints; the created leaves are the next frontier.
-    // Under the new configuration the grouped mechanism keeps the apply
-    // scratch proportional to the violations; the old configuration keeps
-    // the paper's whole-run re-balance for comparison.
-    par::parallel_for_ranks(P, [&](int r) {
-      const obs::MemRank mem_rank(r);
-      std::vector<TreeOct<D>> created;
-      if (opt.grouped_rebalance) {
-        grouped_apply(f.local(r), aux[r], opt, k, created);
-      } else {
-        rebalance_with_aux(f.local(r), aux[r], opt, k, created);
-      }
-      rank_created[r] += created.size();
-      frontier[r].swap(created);
-    });
+      // Apply the constraints; the created leaves are the next frontier.
+      // Under the new configuration the grouped mechanism keeps the apply
+      // scratch proportional to the violations; the old configuration keeps
+      // the paper's whole-run re-balance for comparison.
+      par::parallel_for_ranks(P, [&](int r) {
+        const obs::MemRank mem_rank(r);
+        std::vector<TreeOct<D>> created;
+        if (opt.grouped_rebalance) {
+          grouped_apply(f.local(r), aux[r], opt, k, created);
+        } else {
+          rebalance_with_aux(f.local(r), aux[r], opt, k, created);
+        }
+        rank_created[r] += created.size();
+        frontier[r].swap(created);
+      });
+    }
   }
 
   for (int r = 0; r < P; ++r) {

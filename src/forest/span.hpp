@@ -5,8 +5,9 @@
 /// re-balanced subtree back to a run's original curve span (which is how
 /// ownership stays fixed across a balance — the span's key interval is
 /// invariant under refinement, because a split leaf's first child keeps
-/// its Morton key and its last child ends where the parent ended), and
-/// linearizing TreeOct arrays.  Used by forest/balance.cpp (full one-pass
+/// its Morton key and its last child ends where the parent ended), range
+/// searches over flat leaf-interval arrays, and merging new leaves into a
+/// linear TreeOct array.  Used by forest/balance.cpp (full one-pass
 /// balance) and forest/delta_balance.cpp (incremental re-balance).
 
 #include <algorithm>
@@ -47,19 +48,62 @@ void clip_to_span(const std::vector<Octant<D>>& balanced,
   }
 }
 
-/// Remove ancestors (keep finest) in a sorted TreeOct array.
+/// Flat Morton interval bounds of every leaf of a sorted linear TreeOct
+/// array: leaf i covers [begin[i], end[i]).  Within one tree's run both
+/// arrays increase, so the leaves overlapping a piece are found by two
+/// partition_points over plain integers — no Morton interleave per probe.
 template <int D>
-void linearize_treeocts(std::vector<TreeOct<D>>& a) {
-  std::sort(a.begin(), a.end());
+struct LeafIntervals {
+  std::vector<morton_t> begin, end;
+
+  explicit LeafIntervals(const std::vector<TreeOct<D>>& a)
+      : begin(a.size()), end(a.size()) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      begin[i] = morton_key(a[i].oct);
+      end[i] = begin[i] + (morton_t{1} << (D * size_exp(a[i].oct)));
+    }
+  }
+
+  /// Index range [first, last) of the leaves of the tree run [lo, hi)
+  /// whose intervals overlap \p piece's (given in that tree's frame).
+  std::pair<std::size_t, std::size_t> overlapping(
+      std::size_t lo, std::size_t hi, const Octant<D>& piece) const {
+    const morton_t pb = morton_key(piece);
+    const morton_t pe = pb + (morton_t{1} << (D * size_exp(piece)));
+    const auto e = end.begin();
+    const std::size_t first = static_cast<std::size_t>(
+        std::partition_point(e + lo, e + hi,
+                             [&](morton_t x) { return x <= pb; }) -
+        e);
+    const auto b = begin.begin();
+    const std::size_t last = static_cast<std::size_t>(
+        std::partition_point(b + first, b + hi,
+                             [&](morton_t x) { return x < pe; }) -
+        b);
+    return {first, last};
+  }
+};
+
+/// Merge \p extra into the sorted linear array \p mine and remove
+/// ancestors (keep finest): the array sort + linearize of the union would
+/// produce, at the cost of sorting only the small \p extra (left sorted)
+/// and one merge.  contains() is reflexive, so duplicates collapse too.
+template <int D>
+void merge_linearize_treeocts(std::vector<TreeOct<D>>& mine,
+                              std::vector<TreeOct<D>>& extra) {
+  std::sort(extra.begin(), extra.end());
+  const auto mid = static_cast<std::ptrdiff_t>(mine.size());
+  mine.insert(mine.end(), extra.begin(), extra.end());
+  std::inplace_merge(mine.begin(), mine.begin() + mid, mine.end());
   std::size_t w = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (i + 1 < a.size() && a[i].tree == a[i + 1].tree &&
-        contains(a[i].oct, a[i + 1].oct)) {
+  for (std::size_t i = 0; i < mine.size(); ++i) {
+    if (i + 1 < mine.size() && mine[i].tree == mine[i + 1].tree &&
+        contains(mine[i].oct, mine[i + 1].oct)) {
       continue;
     }
-    a[w++] = a[i];
+    mine[w++] = mine[i];
   }
-  a.resize(w);
+  mine.resize(w);
 }
 
 }  // namespace octbal::detail

@@ -2,6 +2,7 @@
 /// \brief Property battery for the AMR churn lifecycle: Forest::coarsen
 /// (family merge, ownership, the 2:1-safety veto), the dirty log,
 /// dirty-region completion (core/region.hpp), FrameTransform::inverse,
+/// the merge-linearize of new leaves into a rank's array (forest/span.hpp),
 /// and — the load-bearing claim — delta_balance() byte-identity with the
 /// full one-pass pipeline across sustained refine → balance → repartition
 /// → coarsen steps at several rank and thread counts (the tsan label runs
@@ -18,6 +19,7 @@
 #include "core/region.hpp"
 #include "forest/delta_balance.hpp"
 #include "forest/repartition.hpp"
+#include "forest/span.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "workload/workloads.hpp"
@@ -131,6 +133,159 @@ TEST(DirtyRegion, CoverIsSortedCoarsestAndCoversEveryEnvelope) {
       }
       EXPECT_TRUE(covered) << "uncovered envelope piece of " << to_string(o);
     }
+  }
+}
+
+/// The cover as an array-of-Octant oracle: every envelope piece in one
+/// buffer, std::sort, and drop each piece a kept coarser piece contains.
+template <int D>
+std::vector<Octant<D>> cover_oracle(const std::vector<Octant<D>>& dirty) {
+  std::vector<Octant<D>> pieces;
+  for (const auto& o : dirty) {
+    const auto env = envelope_pieces<D>(o);
+    pieces.insert(pieces.end(), env.begin(), env.end());
+  }
+  std::sort(pieces.begin(), pieces.end());
+  std::vector<Octant<D>> out;
+  for (const auto& p : pieces) {
+    if (!out.empty() && contains(out.back(), p)) continue;
+    out.push_back(p);
+  }
+  return out;
+}
+
+/// \p n dirty octants at levels min_lv..max_lv, one in ten an exact duplicate
+/// of an earlier one, and each coordinate on a root face a third of the
+/// time — so face, edge and corner octants all occur.
+template <int D>
+std::vector<Octant<D>> boundary_heavy_dirty(std::uint64_t seed, std::size_t n,
+                                            int min_lv, int max_lv) {
+  Rng rng(seed);
+  std::vector<Octant<D>> dirty;
+  while (dirty.size() < n) {
+    if (!dirty.empty() && rng.below(10) == 0) {
+      dirty.push_back(dirty[rng.below(dirty.size())]);
+      continue;
+    }
+    Octant<D> o;
+    o.level = static_cast<level_t>(min_lv + rng.below(max_lv - min_lv + 1));
+    const coord_t h = side_len(o);
+    for (int d = 0; d < D; ++d) {
+      switch (rng.below(6)) {
+        case 0: o.x[d] = 0; break;
+        case 1: o.x[d] = root_len<D> - h; break;
+        default: o.x[d] = h * static_cast<coord_t>(rng.below(root_len<D> / h));
+      }
+    }
+    dirty.push_back(o);
+  }
+  return dirty;
+}
+
+template <int D>
+void check_cover_matches_oracle(int min_lv, int max_lv) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    // 2,100 octants: four full 512-chunks and a partial fifth.
+    const auto dirty = boundary_heavy_dirty<D>(seed, 2100, min_lv, max_lv);
+    // Every boundary class (face, edge, ..., corner) is present.
+    std::vector<int> on_faces(D + 1, 0);
+    for (const auto& o : dirty) {
+      int faces = 0;
+      for (int d = 0; d < D; ++d) {
+        faces += o.x[d] == 0 || o.x[d] + side_len(o) == root_len<D>;
+      }
+      ++on_faces[faces];
+    }
+    for (int c = 1; c <= D; ++c) ASSERT_GT(on_faces[c], 0) << c;
+    const auto cover = dirty_region_cover<D>(dirty);
+    ASSERT_EQ(cover, cover_oracle<D>(dirty)) << "seed " << seed;
+    // The envelopes must not collapse into a few coarse pieces, or the
+    // chunk merge goes untested: the cover spans several levels.
+    std::vector<bool> level_seen(max_level<D> + 1, false);
+    for (const auto& o : cover) level_seen[o.level] = true;
+    EXPECT_GE(std::count(level_seen.begin(), level_seen.end(), true), 3);
+    EXPECT_GT(cover.size(), 1000u);
+  }
+}
+
+TEST(DirtyRegion, CoverMatchesOctantOracle2D) {
+  check_cover_matches_oracle<2>(5, 10);
+}
+
+TEST(DirtyRegion, CoverMatchesOctantOracle3D) {
+  check_cover_matches_oracle<3>(4, 7);
+}
+
+// ---------------------------------------------------------------------------
+// Merge-linearize
+
+TEST(Span, MergeLinearizeMatchesSortLinearize) {
+  Rng rng(2012);
+  for (int trial = 0; trial < 40; ++trial) {
+    // A sorted linear multi-tree run: a few random refinements of each of
+    // several (not necessarily consecutive) trees.
+    std::vector<TreeOct<2>> mine;
+    for (std::int32_t tree = 0; tree < 5; ++tree) {
+      if (rng.below(4) == 0) continue;
+      std::vector<Octant<2>> leaves{root_octant<2>()};
+      const int splits = static_cast<int>(rng.below(12));
+      for (int s = 0; s < splits; ++s) {
+        const std::size_t i = rng.below(leaves.size());
+        const Octant<2> o = leaves[i];
+        if (o.level >= 6) continue;
+        leaves.erase(leaves.begin() + static_cast<std::ptrdiff_t>(i));
+        for (int c = 0; c < num_children<2>; ++c) {
+          leaves.push_back(child(o, c));
+        }
+      }
+      std::sort(leaves.begin(), leaves.end());
+      for (const auto& o : leaves) mine.push_back(TreeOct<2>{tree, o});
+    }
+    if (mine.empty()) continue;
+    // Extra leaves: refinements of some leaves (a whole family or a
+    // single descendant), and exact duplicates of leaves and of extras.
+    std::vector<TreeOct<2>> extra;
+    const std::size_t n_extra = rng.below(3 * mine.size());
+    for (std::size_t e = 0; e < n_extra; ++e) {
+      const TreeOct<2> t = mine[rng.below(mine.size())];
+      switch (rng.below(4)) {
+        case 0:
+          extra.push_back(t);
+          break;
+        case 1:
+          if (!extra.empty()) extra.push_back(extra[rng.below(extra.size())]);
+          break;
+        case 2:
+          for (int c = 0; c < num_children<2>; ++c) {
+            extra.push_back(TreeOct<2>{t.tree, child(t.oct, c)});
+          }
+          break;
+        default: {
+          Octant<2> o = t.oct;
+          const int depth = 1 + static_cast<int>(rng.below(3));
+          for (int l = 0; l < depth; ++l) {
+            o = child(o, static_cast<int>(rng.below(num_children<2>)));
+          }
+          extra.push_back(TreeOct<2>{t.tree, o});
+        }
+      }
+    }
+    // Oracle: sort the union, then drop every element that contains its
+    // successor in the same tree.
+    std::vector<TreeOct<2>> want = mine;
+    want.insert(want.end(), extra.begin(), extra.end());
+    std::sort(want.begin(), want.end());
+    std::vector<TreeOct<2>> kept;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      if (i + 1 < want.size() && want[i].tree == want[i + 1].tree &&
+          contains(want[i].oct, want[i + 1].oct)) {
+        continue;
+      }
+      kept.push_back(want[i]);
+    }
+    detail::merge_linearize_treeocts(mine, extra);
+    ASSERT_EQ(mine, kept) << "trial " << trial;
+    EXPECT_TRUE(std::is_sorted(extra.begin(), extra.end()));
   }
 }
 
