@@ -17,8 +17,13 @@ namespace octbal {
 namespace {
 
 using detail::clip_to_span;
+using detail::find_run;
+using detail::insulation_in_tree;
 using detail::LeafIntervals;
 using detail::merge_linearize_treeocts;
+using detail::offset_piece;
+using detail::tagged_tree_runs;
+using detail::TreeRun;
 using detail::tree_runs;
 
 /// Wire format for one response item: a payload octant expressed in the
@@ -34,35 +39,6 @@ struct WirePair {
   friend bool operator==(const WirePair&, const WirePair&) = default;
   friend auto operator<=>(const WirePair&, const WirePair&) = default;
 };
-
-/// One tree's contiguous run [lo, hi) of a rank's sorted leaf array.
-struct TreeRun {
-  std::int32_t tree;
-  std::size_t lo, hi;
-};
-
-/// True iff the whole insulation layer of \p o (o and its 3^D - 1
-/// same-size neighbors) lies inside o's tree.  Every insulation piece is
-/// then a plain coordinate offset of o (offset_piece) in the identity
-/// frame, so no connectivity lookup is needed.
-template <int D>
-bool insulation_in_tree(const Octant<D>& o) {
-  const coord_t h = side_len(o);
-  for (int d = 0; d < D; ++d) {
-    if (o.x[d] < h || o.x[d] + 2 * h > root_len<D>) return false;
-  }
-  return true;
-}
-
-/// The same-size neighbor of \p o at offset \p off (in side lengths).
-template <int D>
-Octant<D> offset_piece(const Octant<D>& o, const std::array<int, D>& off) {
-  Octant<D> piece = o;
-  for (int d = 0; d < D; ++d) {
-    piece.x[d] += static_cast<coord_t>(off[d]) * side_len(o);
-  }
-  return piece;
-}
 
 }  // namespace
 
@@ -401,17 +377,8 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
       // contiguous run of `mine`, and every leaf's Morton interval bounds
       // sit in two flat key arrays, so a range search is two
       // partition_points over plain integers.
-      std::vector<TreeRun> runs;
-      for (const auto& [i, j] : tree_runs(mine)) {
-        runs.push_back({mine[i].tree, i, j});
-      }
+      const std::vector<TreeRun> runs = tagged_tree_runs(mine);
       const LeafIntervals<D> iv(mine);
-      const auto find_run = [&](std::int32_t tree) -> const TreeRun* {
-        const auto it = std::lower_bound(
-            runs.begin(), runs.end(), tree,
-            [](const TreeRun& a, std::int32_t t) { return a.tree < t; });
-        return it != runs.end() && it->tree == tree ? &*it : nullptr;
-      };
       std::map<int, std::vector<WirePair<D>>> reply;
       const auto& offs = full_offsets<D>();
       std::vector<Octant<D>> seeds, seed_scratch;
@@ -448,7 +415,7 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
           };
           if (insulation_in_tree(q.oct)) {
             // Interior query, as in build_queries: no connectivity lookups.
-            if (const TreeRun* run = find_run(q.tree)) {
+            if (const TreeRun* run = find_run(runs, q.tree)) {
               for (const auto& off : offs) {
                 respond(*run, offset_piece<D>(q.oct, off), nullptr);
               }
@@ -460,7 +427,7 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
             for (const auto& off : offs) {
               const auto nb = conn.neighbor(q.tree, q.oct, off);
               if (!nb) continue;
-              if (const TreeRun* run = find_run(nb->tree)) {
+              if (const TreeRun* run = find_run(runs, nb->tree)) {
                 respond(*run, nb->oct, &nb->xform);
               }
             }

@@ -1,11 +1,10 @@
 #include "forest/ghost.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "core/balance_check.hpp"
-#include "core/linear.hpp"
 #include "core/neighborhood.hpp"
+#include "forest/span.hpp"
 #include "obs/mem.hpp"
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
@@ -22,21 +21,39 @@ struct WireGhost {
 };
 
 /// Exact adjacency test of a candidate ghost \p g against any leaf of
-/// \p mine (per-tree views), across tree boundaries.
+/// \p mine (a rank's sorted leaves, with their tree runs and intervals),
+/// across tree boundaries.
 template <int D>
 bool adjacent_to_any(const Connectivity<D>& conn, const TreeOct<D>& g, int k,
-                     const std::map<int, std::vector<Octant<D>>>& mine) {
-  for (const auto& off : balance_offsets<D>(k)) {
-    const auto nb = conn.neighbor(g.tree, g.oct, off);
-    if (!nb) continue;
-    const auto it = mine.find(nb->tree);
-    if (it == mine.end()) continue;
-    const auto [lo, hi] = overlapping_range(it->second, nb->oct);
+                     const std::vector<TreeOct<D>>& mine,
+                     const std::vector<detail::TreeRun>& runs,
+                     const detail::LeafIntervals<D>& iv) {
+  const auto adjacent = [&](const detail::TreeRun& run, const Octant<D>& piece,
+                            const FrameTransform<D>* xf) {
+    const auto [lo, hi] = iv.overlapping(run.lo, run.hi, piece);
     for (std::size_t j = lo; j < hi; ++j) {
-      const Octant<D> m = nb->xform.apply(it->second[j]);
+      const Octant<D> m = xf ? xf->apply(mine[j].oct) : mine[j].oct;
       const int c = adjacency_codim(g.oct, m);
       if (c >= 1 && c <= k) return true;
     }
+    return false;
+  };
+  if (detail::insulation_in_tree(g.oct)) {
+    // Interior candidate: every piece stays in g's tree, identity frame.
+    const detail::TreeRun* run = detail::find_run(runs, g.tree);
+    if (!run) return false;
+    for (const auto& off : balance_offsets<D>(k)) {
+      if (adjacent(*run, detail::offset_piece<D>(g.oct, off), nullptr)) {
+        return true;
+      }
+    }
+    return false;
+  }
+  for (const auto& off : balance_offsets<D>(k)) {
+    const auto nb = conn.neighbor(g.tree, g.oct, off);
+    if (!nb) continue;
+    const detail::TreeRun* run = detail::find_run(runs, nb->tree);
+    if (run && adjacent(*run, nb->oct, &nb->xform)) return true;
   }
   return false;
 }
@@ -86,18 +103,13 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
     const GlobalPos own_hi = f.marker(r + 1);
     for (std::size_t i = 0; i < mine.size(); ++i) {
       const auto& to = mine[i];
-      const coord_t hh = side_len(to.oct);
-      bool interior = true;
-      for (int dd = 0; dd < D && interior; ++dd) {
-        interior =
-            to.oct.x[dd] >= hh && to.oct.x[dd] + 2 * hh <= root_len<D>;
-      }
-      if (interior) {
+      if (detail::insulation_in_tree(to.oct)) {
         // Interior octant: every same-size neighbor piece exists, stays in
         // this tree and keeps the identity frame.  The (-1..-1)/(+1..+1)
         // corner pieces bound every piece's key interval, so if the whole
         // envelope is inside this rank's span every candidate would be a
         // self-candidate (q == r) and is dropped anyway.
+        const coord_t hh = side_len(to.oct);
         Octant<D> lo_p = to.oct, hi_p = to.oct;
         for (int dd = 0; dd < D; ++dd) {
           lo_p.x[dd] -= hh;
@@ -111,10 +123,7 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
         owners.set_window(env_lo, GlobalPos{to.tree, env_hi.key + 1});
         const morton_t sz = morton_t{1} << (D * size_exp(to.oct));
         for (const auto& off : offs) {
-          Octant<D> piece = to.oct;
-          for (int dd = 0; dd < D; ++dd) {
-            piece.x[dd] += static_cast<coord_t>(off[dd]) * hh;
-          }
+          const Octant<D> piece = detail::offset_piece<D>(to.oct, off);
           const GlobalPos lo{to.tree, morton_key(piece)};
           const GlobalPos hi{to.tree, lo.key + sz};
           if (own_lo <= lo && GlobalPos{to.tree, hi.key - 1} < own_hi) {
@@ -192,8 +201,9 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
   // Receiver side: exact filter against the rank's own leaves.
   par::parallel_for_ranks(P, [&](int r) {
     OBS_SPAN_RANK("ghost_filter", r);
-    std::map<int, std::vector<Octant<D>>> mine;
-    for (const auto& to : f.local(r)) mine[to.tree].push_back(to.oct);
+    const auto& mine = f.local(r);
+    const std::vector<detail::TreeRun> runs = detail::tagged_tree_runs(mine);
+    const detail::LeafIntervals<D> iv(mine);
     auto& out = ghost.per_rank[r];
     for (const auto& m : comm.recv_all(r)) {
       for (const auto& w : SimComm::decode_items<WireGhost<D>>(m)) {
@@ -201,7 +211,7 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
         g.tree = w.tree;
         g.oct.level = static_cast<level_t>(w.level);
         g.oct.x = w.x;
-        if (!adjacent_to_any(conn, g, k, mine)) continue;
+        if (!adjacent_to_any(conn, g, k, mine, runs, iv)) continue;
         out.push_back(typename GhostLayer<D>::Entry{g, m.from});
       }
     }

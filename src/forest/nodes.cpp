@@ -1,8 +1,10 @@
 #include "forest/nodes.hpp"
 
+#include <bit>
 #include <map>
 
 #include "core/linear.hpp"
+#include "core/octant_hash.hpp"
 #include "core/search.hpp"
 #include "forest/forest.hpp"
 #include "obs/trace.hpp"
@@ -25,21 +27,81 @@ GlobalCoord<D> domain_extent(const Connectivity<D>& conn) {
   return e;
 }
 
-/// Wrap periodic axes; returns false if the coordinate leaves the domain
-/// in a non-periodic direction.  \p upper_ok allows the closed upper bound
-/// (node coordinates live on [0, extent]).
+/// Wrap a leaf corner's periodic axes onto [0, extent).  A corner lies on
+/// the closed [0, extent] per axis, so only the upper face wraps.
 template <int D>
-bool canonicalize(const Connectivity<D>& conn, const GlobalCoord<D>& ext,
-                  GlobalCoord<D>& g, bool upper_ok) {
+void wrap_periodic(const Connectivity<D>& conn, const GlobalCoord<D>& ext,
+                   GlobalCoord<D>& g) {
   for (int i = 0; i < D; ++i) {
-    if (conn.periodic()[i]) {
-      g[i] = ((g[i] % ext[i]) + ext[i]) % ext[i];
-    } else if (g[i] < 0 || g[i] > ext[i] || (!upper_ok && g[i] == ext[i])) {
-      return false;
+    assert(0 <= g[i] && g[i] <= ext[i]);
+    if (conn.periodic()[i] && g[i] == ext[i]) g[i] = 0;
+  }
+}
+
+/// Flat open-addressing table from canonical global node coordinates to
+/// dense ids handed out in insertion order: coord[id] is the node's
+/// coordinate and incidences[id] the number of add() calls that hit it.
+/// Slots hold 32-bit ids (a node count past 2^32 - 1 would need an
+/// element_nodes array of more than 32 GiB) and stay at most half full.
+template <int D>
+class NodeTable {
+ public:
+  explicit NodeTable(std::size_t expected) {
+    coord.reserve(expected);
+    incidences.reserve(expected);
+    rehash(std::bit_ceil(2 * expected + 2));
+  }
+
+  static std::uint64_t hash(const GlobalCoord<D>& g) {
+    std::uint64_t h = 0;
+    for (int i = 0; i < D; ++i) {
+      h = h * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(g[i]);
+    }
+    return detail::hash_mix(h);
+  }
+
+  void prefetch(std::uint64_t h) const {
+    __builtin_prefetch(&slot_[h & mask_]);
+  }
+
+  /// The id of \p g (whose hash is \p h), inserted if new.
+  std::uint32_t add(const GlobalCoord<D>& g, std::uint64_t h) {
+    std::size_t s = h & mask_;
+    for (; slot_[s] != kEmpty; s = (s + 1) & mask_) {
+      const std::uint32_t id = slot_[s];
+      if (coord[id] == g) {
+        ++incidences[id];
+        return id;
+      }
+    }
+    const auto id = static_cast<std::uint32_t>(coord.size());
+    assert(id != kEmpty);
+    slot_[s] = id;
+    coord.push_back(g);
+    incidences.push_back(1);
+    if (2 * coord.size() > slot_.size()) rehash(2 * slot_.size());
+    return id;
+  }
+
+  std::vector<GlobalCoord<D>> coord;
+  std::vector<std::uint8_t> incidences;
+
+ private:
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+  void rehash(std::size_t capacity) {
+    slot_.assign(capacity, kEmpty);
+    mask_ = capacity - 1;
+    for (std::uint32_t id = 0; id < coord.size(); ++id) {
+      std::size_t s = hash(coord[id]) & mask_;
+      while (slot_[s] != kEmpty) s = (s + 1) & mask_;
+      slot_[s] = id;
     }
   }
-  return true;
-}
+
+  std::vector<std::uint32_t> slot_;
+  std::size_t mask_ = 0;
+};
 
 }  // namespace
 
@@ -195,91 +257,69 @@ NodeNumbering enumerate_nodes(const std::vector<TreeOct<D>>& leaves,
                               const Connectivity<D>& conn) {
   if (!conn.is_lattice()) return enumerate_nodes_general(leaves, conn);
   OBS_SPAN("enumerate_nodes");
+#ifndef NDEBUG
+  // Precondition (debug builds): the leaves tile every tree exactly.
+  std::vector<std::uint64_t> volume(conn.num_trees(), 0);
+  for (const auto& to : leaves) {
+    volume[to.tree] += std::uint64_t{1} << (D * size_exp(to.oct));
+  }
+  for (const std::uint64_t v : volume) {
+    assert(v == std::uint64_t{1} << (D * max_level<D>));
+  }
+#endif
   NodeNumbering nn;
   const GlobalCoord<D> ext = domain_extent(conn);
 
-  // Per-tree sorted leaf views for point location.
-  std::vector<std::vector<Octant<D>>> per_tree(conn.num_trees());
-  for (const auto& to : leaves) per_tree[to.tree].push_back(to.oct);
-
-  const auto global_anchor = [&](const TreeOct<D>& to) {
-    GlobalCoord<D> g{};
-    const auto tc = conn.tree_coords(to.tree);
-    for (int i = 0; i < D; ++i) {
-      g[i] = static_cast<std::int64_t>(tc[i]) * root_len<D> + to.oct.x[i];
-    }
-    return g;
-  };
-
-  // Pass 1: assign ids in order of first appearance along the curve.
-  std::map<GlobalCoord<D>, std::int64_t> ids;
+  // Pass 1: ids in order of first appearance along the curve, from a flat
+  // table keyed by the canonical global coordinate, which also counts
+  // each node's (leaf, corner) incidences.  A leaf's 2^D slots are
+  // prefetched before any is probed, so their cache misses overlap.
+  NodeTable<D> table(leaves.size());
   nn.element_nodes.assign(leaves.size(), {});
   for (std::size_t e = 0; e < leaves.size(); ++e) {
-    const GlobalCoord<D> a = global_anchor(leaves[e]);
+    const auto tc = conn.tree_coords(leaves[e].tree);
+    GlobalCoord<D> a{};
+    for (int i = 0; i < D; ++i) {
+      a[i] = static_cast<std::int64_t>(tc[i]) * root_len<D> +
+             leaves[e].oct.x[i];
+    }
     const std::int64_t h = side_len(leaves[e].oct);
+    std::array<GlobalCoord<D>, num_children<D>> corner;
+    std::array<std::uint64_t, num_children<D>> hash;
     for (int c = 0; c < num_children<D>; ++c) {
-      GlobalCoord<D> g = a;
+      corner[c] = a;
       for (int i = 0; i < D; ++i) {
-        if ((c >> i) & 1) g[i] += h;
+        if ((c >> i) & 1) corner[c][i] += h;
       }
-      const bool ok = canonicalize<D>(conn, ext, g, true);
-      assert(ok);
-      (void)ok;
-      const auto [it, fresh] =
-          ids.try_emplace(g, static_cast<std::int64_t>(ids.size()));
-      (void)fresh;
-      nn.element_nodes[e][c] = it->second;
+      wrap_periodic<D>(conn, ext, corner[c]);
+      hash[c] = NodeTable<D>::hash(corner[c]);
+      table.prefetch(hash[c]);
+    }
+    for (int c = 0; c < num_children<D>; ++c) {
+      nn.element_nodes[e][c] = table.add(corner[c], hash[c]);
     }
   }
-  nn.num_nodes = ids.size();
-  nn.hanging.assign(nn.num_nodes, 0);
+  const auto& coord = table.coord;
+  const auto& incidences = table.incidences;
+  nn.num_nodes = coord.size();
 
-  // Pass 2: a node hangs if some containing leaf does not have it as a
-  // corner (it then lies in the interior of that leaf's face or edge).
-  // Independent per node — chunked over the thread pool.
-  std::vector<const std::pair<const GlobalCoord<D>, std::int64_t>*> entries;
-  entries.reserve(ids.size());
-  for (const auto& kv : ids) entries.push_back(&kv);
-  par::parallel_for_blocked(entries.size(), 64, [&](std::size_t lo,
-                                                    std::size_t hi) {
-    for (std::size_t n = lo; n < hi; ++n) {
-      const auto& [node, id] = *entries[n];
-      for (int adj = 0; adj < num_children<D> && !nn.hanging[id]; ++adj) {
-        // The finest-level cell on the (-adj) side of the node.
-        GlobalCoord<D> cell = node;
-        for (int i = 0; i < D; ++i) {
-          if ((adj >> i) & 1) cell[i] -= 1;
-        }
-        GlobalCoord<D> canon = cell;
-        if (!canonicalize<D>(conn, ext, canon, false)) continue;
-        // Map to (tree, local anchor) and locate the containing leaf.
-        std::array<int, D> tc{};
-        std::array<coord_t, D> local{};
-        for (int i = 0; i < D; ++i) {
-          tc[i] = static_cast<int>(canon[i] / root_len<D>);
-          local[i] = static_cast<coord_t>(canon[i] % root_len<D>);
-        }
-        const int tree = conn.tree_index(tc);
-        const std::size_t li = find_containing_leaf<D>(per_tree[tree], local);
-        if (li == npos) continue;  // malformed input; tolerated here
-        const TreeOct<D> m{tree, per_tree[tree][li]};
-        // Corner test: does any canonicalized corner of m equal the node?
-        const GlobalCoord<D> ma = global_anchor(m);
-        const std::int64_t mh = side_len(m.oct);
-        bool corner = false;
-        for (int c = 0; c < num_children<D> && !corner; ++c) {
-          GlobalCoord<D> g = ma;
-          for (int i = 0; i < D; ++i) {
-            if ((c >> i) & 1) g[i] += mh;
-          }
-          if (canonicalize<D>(conn, ext, g, true) && g == node) corner = true;
-        }
-        if (!corner) nn.hanging[id] = 1;
-      }
+  // Pass 2: a node is independent iff every leaf touching it has it as a
+  // corner, i.e. iff its incidence count equals the number of in-domain
+  // orthants around it (factor 2 per periodic or interior axis, 1 on a
+  // non-periodic domain face).  On a complete leaf set each corner-leaf
+  // covers one orthant per corner that lands on the node, and a leaf that
+  // contains the node but not as a corner covers at least two orthants
+  // that no corner-leaf covers (DESIGN.md §2.5).
+  nn.hanging.assign(nn.num_nodes, 0);
+  for (std::size_t id = 0; id < coord.size(); ++id) {
+    int orthants = 1;
+    for (int i = 0; i < D; ++i) {
+      const bool inside = coord[id][i] > 0 && coord[id][i] < ext[i];
+      if (conn.periodic()[i] || inside) orthants *= 2;
     }
-  });
-  for (std::uint64_t i = 0; i < nn.num_nodes; ++i) {
-    nn.num_independent += !nn.hanging[i];
+    assert(incidences[id] <= orthants);
+    nn.hanging[id] = incidences[id] != orthants;
+    nn.num_independent += !nn.hanging[id];
   }
   return nn;
 }

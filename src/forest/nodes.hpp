@@ -34,9 +34,10 @@ struct NodeNumbering {
   /// z-order.
   std::vector<std::array<std::int64_t, 8>> element_nodes;
   /// Per node id: nonzero if the node hangs on a coarser neighbor.
-  /// (std::uint8_t, not bool: the classification pass writes entries
-  /// concurrently from the thread pool, and std::vector<bool>'s bit
-  /// packing would turn per-id writes into data races.)
+  /// (std::uint8_t, not bool: the general-connectivity classification
+  /// writes entries concurrently from the thread pool, and
+  /// std::vector<bool>'s bit packing would turn per-id writes into data
+  /// races.)
   std::vector<std::uint8_t> hanging;
 };
 
@@ -44,6 +45,11 @@ struct NodeNumbering {
 /// periodic boundaries are identified across the wrap; nodes shared across
 /// tree faces are identified through the lattice embedding (bricks) or the
 /// face-gluing orbit (general connectivities).
+///
+/// Precondition: \p leaves is a complete, linear, rank-major leaf set —
+/// every tree tiled exactly, in (tree, curve) order — as Forest::gather()
+/// returns it.  Debug builds check that the leaf volumes of each tree sum
+/// to the tree's volume; on other input the hanging flags are undefined.
 template <int D>
 NodeNumbering enumerate_nodes(const std::vector<TreeOct<D>>& leaves,
                               const Connectivity<D>& conn);

@@ -1,14 +1,17 @@
 #pragma once
 /// \file span.hpp
 /// \brief Run/span helpers shared by the balance pipelines: splitting a
-/// rank's sorted TreeOct array into per-tree contiguous runs, clipping a
-/// re-balanced subtree back to a run's original curve span (which is how
-/// ownership stays fixed across a balance — the span's key interval is
-/// invariant under refinement, because a split leaf's first child keeps
-/// its Morton key and its last child ends where the parent ended), range
-/// searches over flat leaf-interval arrays, and merging new leaves into a
-/// linear TreeOct array.  Used by forest/balance.cpp (full one-pass
-/// balance) and forest/delta_balance.cpp (incremental re-balance).
+/// rank's sorted TreeOct array into per-tree contiguous runs (and finding
+/// a tree's run), the identity-frame insulation pieces of an octant whose
+/// neighborhood stays inside its tree, clipping a re-balanced subtree back
+/// to a run's original curve span (which is how ownership stays fixed
+/// across a balance — the span's key interval is invariant under
+/// refinement, because a split leaf's first child keeps its Morton key and
+/// its last child ends where the parent ended), range searches over flat
+/// leaf-interval arrays, and merging new leaves into a linear TreeOct
+/// array.  Used by forest/balance.cpp (full one-pass balance),
+/// forest/delta_balance.cpp (incremental re-balance) and forest/ghost.cpp
+/// (the receiver-side adjacency filter).
 
 #include <algorithm>
 #include <utility>
@@ -31,6 +34,52 @@ std::vector<std::pair<std::size_t, std::size_t>> tree_runs(
     i = j;
   }
   return runs;
+}
+
+/// One tree's contiguous run [lo, hi) of a rank's sorted leaf array.
+struct TreeRun {
+  std::int32_t tree;
+  std::size_t lo, hi;
+};
+
+/// tree_runs tagged with their tree ids (ascending), for find_run.
+template <int D>
+std::vector<TreeRun> tagged_tree_runs(const std::vector<TreeOct<D>>& a) {
+  std::vector<TreeRun> runs;
+  for (const auto& [i, j] : tree_runs(a)) runs.push_back({a[i].tree, i, j});
+  return runs;
+}
+
+/// The run of \p tree in \p runs, or null if the array holds no leaf of it.
+inline const TreeRun* find_run(const std::vector<TreeRun>& runs,
+                               std::int32_t tree) {
+  const auto it = std::lower_bound(
+      runs.begin(), runs.end(), tree,
+      [](const TreeRun& a, std::int32_t t) { return a.tree < t; });
+  return it != runs.end() && it->tree == tree ? &*it : nullptr;
+}
+
+/// True iff the whole insulation layer of \p o (o and its 3^D - 1
+/// same-size neighbors) lies inside o's tree.  Every insulation piece is
+/// then a plain coordinate offset of o (offset_piece) in the identity
+/// frame, so no connectivity lookup is needed.
+template <int D>
+bool insulation_in_tree(const Octant<D>& o) {
+  const coord_t h = side_len(o);
+  for (int d = 0; d < D; ++d) {
+    if (o.x[d] < h || o.x[d] + 2 * h > root_len<D>) return false;
+  }
+  return true;
+}
+
+/// The same-size neighbor of \p o at offset \p off (in side lengths).
+template <int D>
+Octant<D> offset_piece(const Octant<D>& o, const std::array<int, D>& off) {
+  Octant<D> piece = o;
+  for (int d = 0; d < D; ++d) {
+    piece.x[d] += static_cast<coord_t>(off[d]) * side_len(o);
+  }
+  return piece;
 }
 
 /// Keep only the leaves of \p balanced whose Morton interval lies within

@@ -1,14 +1,20 @@
 /// \file test_nodes.cpp
 /// \brief Tests for corner-node enumeration: exact counts on known meshes,
 /// uniform-grid formulas, periodic identification, the hanging-node
-/// guarantee on balanced meshes, and element-connectivity consistency.
+/// guarantee on balanced meshes, element-connectivity consistency, and a
+/// differential check of the lattice enumeration against a map +
+/// point-location oracle.
 
 #include <gtest/gtest.h>
 
-#include "forest/balance.hpp"
+#include <map>
+
 #include "core/balance_check.hpp"
+#include "core/search.hpp"
+#include "forest/balance.hpp"
 #include "forest/nodes.hpp"
 #include "util/rng.hpp"
+#include "workload/workloads.hpp"
 
 namespace octbal {
 namespace {
@@ -281,6 +287,185 @@ TEST(NodeOwnership, SharedInterfaceNodesGoToLowerRank) {
     }
   }
   EXPECT_EQ(centers, 1);
+}
+
+}  // namespace
+}  // namespace octbal
+
+namespace octbal {
+namespace {
+
+/// Oracle for lattice node enumeration: ids from a std::map in order of
+/// first appearance, and a node hangs if the leaf containing any of its
+/// in-domain finest-level orthant cells (found by binary search) does not
+/// have it as a corner.
+template <int D>
+NodeNumbering map_oracle_nodes(const std::vector<TreeOct<D>>& leaves,
+                               const Connectivity<D>& conn) {
+  using G = std::array<std::int64_t, D>;
+  G ext{};
+  for (int i = 0; i < D; ++i) {
+    ext[i] = static_cast<std::int64_t>(conn.dims()[i]) * root_len<D>;
+  }
+  const auto canonicalize = [&](G& g, bool upper_ok) {
+    for (int i = 0; i < D; ++i) {
+      if (conn.periodic()[i]) {
+        g[i] = ((g[i] % ext[i]) + ext[i]) % ext[i];
+      } else if (g[i] < 0 || g[i] > ext[i] ||
+                 (!upper_ok && g[i] == ext[i])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const auto anchor = [&](std::int32_t tree, const Octant<D>& o) {
+    G g{};
+    const auto tc = conn.tree_coords(tree);
+    for (int i = 0; i < D; ++i) {
+      g[i] = static_cast<std::int64_t>(tc[i]) * root_len<D> + o.x[i];
+    }
+    return g;
+  };
+  const auto corner = [&](std::int32_t tree, const Octant<D>& o, int c) {
+    G g = anchor(tree, o);
+    for (int i = 0; i < D; ++i) {
+      if ((c >> i) & 1) g[i] += side_len(o);
+    }
+    return g;
+  };
+  std::vector<std::vector<Octant<D>>> per_tree(conn.num_trees());
+  for (const auto& to : leaves) per_tree[to.tree].push_back(to.oct);
+
+  NodeNumbering nn;
+  std::map<G, std::int64_t> ids;
+  nn.element_nodes.assign(leaves.size(), {});
+  for (std::size_t e = 0; e < leaves.size(); ++e) {
+    for (int c = 0; c < num_children<D>; ++c) {
+      G g = corner(leaves[e].tree, leaves[e].oct, c);
+      EXPECT_TRUE(canonicalize(g, true));
+      const auto [it, fresh] =
+          ids.try_emplace(g, static_cast<std::int64_t>(ids.size()));
+      nn.element_nodes[e][c] = it->second;
+    }
+  }
+  nn.num_nodes = ids.size();
+  nn.hanging.assign(nn.num_nodes, 0);
+  for (const auto& [node, id] : ids) {
+    for (int adj = 0; adj < num_children<D>; ++adj) {
+      G cell = node;
+      for (int i = 0; i < D; ++i) {
+        if ((adj >> i) & 1) cell[i] -= 1;
+      }
+      if (!canonicalize(cell, false)) continue;
+      std::array<int, D> tc{};
+      std::array<coord_t, D> local{};
+      for (int i = 0; i < D; ++i) {
+        tc[i] = static_cast<int>(cell[i] / root_len<D>);
+        local[i] = static_cast<coord_t>(cell[i] % root_len<D>);
+      }
+      const int tree = conn.tree_index(tc);
+      const std::size_t li = find_containing_leaf<D>(per_tree[tree], local);
+      EXPECT_NE(li, npos) << "incomplete leaf set";
+      if (li == npos) continue;
+      bool is_corner = false;
+      for (int c = 0; c < num_children<D>; ++c) {
+        G g = corner(tree, per_tree[tree][li], c);
+        is_corner = is_corner || (canonicalize(g, true) && g == node);
+      }
+      if (!is_corner) nn.hanging[id] = 1;
+    }
+  }
+  for (const std::uint8_t h : nn.hanging) nn.num_independent += !h;
+  return nn;
+}
+
+template <int D>
+void expect_matches_oracle(const Forest<D>& f, const std::string& what) {
+  const auto leaves = f.gather();
+  const NodeNumbering got = enumerate_nodes(leaves, f.connectivity());
+  const NodeNumbering want = map_oracle_nodes(leaves, f.connectivity());
+  EXPECT_EQ(got.num_nodes, want.num_nodes) << what;
+  EXPECT_EQ(got.num_independent, want.num_independent) << what;
+  EXPECT_TRUE(got.element_nodes == want.element_nodes) << what;
+  EXPECT_TRUE(got.hanging == want.hanging) << what;
+  EXPECT_LT(want.num_independent, want.num_nodes) << what << ": none hang";
+}
+
+template <int D>
+void balance_k(Forest<D>& f, int k) {
+  SimComm comm(f.num_ranks());
+  BalanceOptions opt = BalanceOptions::new_config();
+  opt.k = k;
+  balance(f, opt, comm);
+}
+
+TEST(Nodes, LatticeMatchesMapOracle) {
+  {
+    // Ice-sheet style brick, balanced as in the mesh pipeline.
+    Forest<3> f(Connectivity<3>::brick({4, 4, 1}), 8, 1);
+    icesheet_refine(f, 4);
+    f.partition_uniform();
+    balance_k(f, 3);
+    expect_matches_oracle(f, "icesheet brick");
+  }
+  for (int k = 1; k <= 2; ++k) {
+    Forest<2> f(Connectivity<2>::brick({2, 3}), 4, 1);
+    fractal_refine(f, 7);
+    f.partition_uniform();
+    balance_k(f, k);
+    expect_matches_oracle(f, "fractal 2D k=" + std::to_string(k));
+  }
+  for (int k = 1; k <= 3; ++k) {
+    Forest<3> f(Connectivity<3>::brick({2, 1, 1}), 4, 1);
+    fractal_refine(f, 5);
+    f.partition_uniform();
+    balance_k(f, k);
+    expect_matches_oracle(f, "fractal 3D k=" + std::to_string(k));
+  }
+  {
+    // Complete but not balanced: the counting identity must not rely on
+    // 2:1 (a coarse leaf may touch a node in a face or edge interior next
+    // to leaves several levels finer).
+    Rng rng(77);
+    Forest<3> f(Connectivity<3>::brick({2, 2, 1}), 1, 0);
+    random_refine(f, rng, 6, 0.3);
+    ASSERT_FALSE(forest_is_balanced(f.gather(), f.connectivity(), 1));
+    expect_matches_oracle(f, "unbalanced 3D");
+    Rng rng2(78);
+    Forest<2> g(Connectivity<2>::brick({3, 1}), 1, 0);
+    random_refine(g, rng2, 8, 0.35);
+    ASSERT_FALSE(forest_is_balanced(g.gather(), g.connectivity(), 1));
+    expect_matches_oracle(g, "unbalanced 2D");
+  }
+  {
+    // Periodic bricks: upper-face nodes wrap onto lower-face ones.
+    Rng rng(91);
+    Forest<3> f(Connectivity<3>::brick({2, 2, 1}, {true, false, true}), 4, 1);
+    random_refine(f, rng, 4, 0.3);
+    f.partition_uniform();
+    balance_k(f, 2);
+    expect_matches_oracle(f, "periodic 3D");
+    Rng rng2(92);
+    Forest<2> g(Connectivity<2>::brick({2, 2}, {true, true}), 1, 1);
+    random_refine(g, rng2, 6, 0.35);
+    expect_matches_oracle(g, "periodic 2D unbalanced");
+  }
+  {
+    // A periodic axis one tree wide holding a level-0 leaf: the leaf's
+    // low and high corners along that axis alias onto one node, which
+    // then collects two incidences from the same leaf.
+    Forest<2> f(Connectivity<2>::brick({1, 2}, {true, false}), 1, 0);
+    f.refine([](const TreeOct<2>& to) { return to.tree == 1; }, false);
+    expect_matches_oracle(f, "aliased 2D");
+    const auto nn = enumerate_nodes(f.gather(), f.connectivity());
+    // (0,0) below the level-0 leaf plus 2 x 3 nodes on the refined tree;
+    // only the midpoint of the level-0 leaf's top face hangs.
+    EXPECT_EQ(nn.num_nodes, 7u);
+    EXPECT_EQ(nn.num_nodes - nn.num_independent, 1u);
+    Forest<3> g(Connectivity<3>::brick({1, 1, 2}, {true, true, false}), 1, 0);
+    g.refine([](const TreeOct<3>& to) { return to.tree == 1; }, false);
+    expect_matches_oracle(g, "aliased 3D");
+  }
 }
 
 }  // namespace
