@@ -8,6 +8,7 @@
 /// layers with partition boundaries determines which processes must
 /// exchange information during 2:1 balance.
 
+#include <cstdint>
 #include <vector>
 
 #include "core/octant.hpp"
@@ -33,5 +34,20 @@ constexpr bool in_insulation(const Octant<D>& o, const Octant<D>& r) {
 template <int D>
 void insulation_pieces(const Octant<D>& r, const Octant<D>& domain,
                        std::vector<Octant<D>>& out);
+
+/// The number of pieces insulation_pieces(r, root) appends, in closed
+/// form: per axis, r's own slab plus the one below (if r is not on the
+/// lower root face) and the one above (if r is not on the upper face); the
+/// product counts the whole in-root envelope, r included.
+template <int D>
+constexpr std::uint64_t insulation_piece_count(const Octant<D>& r) {
+  const coord_t h = side_len(r);
+  std::uint64_t n = 1;
+  for (int i = 0; i < D; ++i) {
+    n *= 1u + (r.x[i] >= h ? 1u : 0u) +
+         (r.x[i] + 2 * h <= root_len<D> ? 1u : 0u);
+  }
+  return n - 1;
+}
 
 }  // namespace octbal

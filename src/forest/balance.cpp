@@ -18,10 +18,10 @@ namespace {
 
 using detail::clip_to_span;
 using detail::find_run;
-using detail::insulation_in_tree;
+using detail::for_each_piece;
+using detail::for_each_remote_owner;
 using detail::LeafIntervals;
 using detail::merge_linearize_treeocts;
-using detail::offset_piece;
 using detail::tagged_tree_runs;
 using detail::TreeRun;
 using detail::tree_runs;
@@ -130,10 +130,10 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
     std::fill(rank_count.begin(), rank_count.end(), 0);
     // Fault injection (audit self-tests): drop the last insulation-layer
     // offset from the query walk, silently losing one neighbor direction.
-    const auto& all_offs = full_offsets<D>();
-    const std::size_t n_offs =
-        all_offs.size() -
-        (opt.inject == FaultInjection::kSkipInsulationNeighbor ? 1 : 0);
+    std::span<const std::array<int, D>> offs = full_offsets<D>();
+    if (opt.inject == FaultInjection::kSkipInsulationNeighbor) {
+      offs = offs.first(offs.size() - 1);
+    }
     par::parallel_for_ranks(P, [&](int r) {
       OBS_SPAN_RANK("build_queries", r);
       Timer t;
@@ -142,90 +142,21 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
       const auto& mine = f.local(r);
       // Owner resolution for this rank's stream of insulation pieces:
       // per-octant envelope windows + a one-entry last-hit cache replace
-      // the per-offset O(log P) binary searches (DESIGN.md §2.10).
+      // the per-offset O(log P) binary searches (DESIGN.md §2.10).  Pieces
+      // inside this rank's own span need no owner search and no query (the
+      // bulk of the octants on a large partition — p4est likewise touches
+      // only near-boundary octants in this phase).
       OwnerWindow<D> owners(f, &rank_owner[r]);
-      // The rank's own curve span: insulation pieces that stay inside the
-      // tree and inside this span need no owner search and no query at all
-      // (the bulk of the octants on a large partition — p4est likewise
-      // touches only near-boundary octants in this phase).
-      const GlobalPos own_lo = f.marker(r);
-      const GlobalPos own_hi = f.marker(r + 1);
       for (std::size_t i = 0; i < mine.size(); ++i) {
         const auto& to = mine[i];
-        // Whole-envelope early-out: if the full insulation layer I(o) lies
-        // inside the tree and inside this rank's curve span, no offset can
-        // produce a query.  Morton keys are monotone in componentwise
-        // coordinate order, so the (-1..-1) and (+1..+1) corner pieces
-        // bound every piece's key interval.
-        if (insulation_in_tree(to.oct)) {
-          const coord_t hh = side_len(to.oct);
-          Octant<D> lo_p = to.oct, hi_p = to.oct;
-          for (int dd = 0; dd < D; ++dd) {
-            lo_p.x[dd] -= hh;
-            hi_p.x[dd] += hh;
-          }
-          const GlobalPos env_lo{to.tree, morton_key(lo_p)};
-          const GlobalPos env_hi{
-              to.tree,
-              morton_key(hi_p) + (morton_t{1} << (D * size_exp(hi_p))) - 1};
-          if (own_lo <= env_lo && env_hi < own_hi) continue;
-          // The envelope straddles a partition boundary: resolve its owner
-          // window once; every piece below resolves inside it.
-          owners.set_window(env_lo, GlobalPos{to.tree, env_hi.key + 1});
-          // Interior octant: every insulation piece exists, stays in this
-          // tree and keeps the identity frame, so the pieces are plain
-          // coordinate offsets — no connectivity lookups needed.
-          const morton_t sz = morton_t{1} << (D * size_exp(to.oct));
-          for (std::size_t oi = 0; oi < n_offs; ++oi) {
-            const Octant<D> piece = offset_piece<D>(to.oct, all_offs[oi]);
-            const GlobalPos lo{to.tree, morton_key(piece)};
-            const GlobalPos hi{to.tree, lo.key + sz};
-            if (own_lo <= lo && GlobalPos{to.tree, hi.key - 1} < own_hi) {
-              continue;  // fully interior to this rank's subtree
-            }
-            const auto [r0, r1] = owners.owners_of(lo, hi);
-            for (int dest = r0; dest <= r1; ++dest) {
-              if (f.marker(dest) == f.marker(dest + 1)) continue;  // empty
-              if (dest == r) continue;  // covered by local subtree balance
-              if (last_mark[dest] == i) continue;          // already queued
+        for_each_remote_owner(
+            f, r, owners, to, offs,
+            [&](int dest, std::int32_t, const FrameTransform<D>*) {
+              if (last_mark[dest] == i) return;  // already queued
               last_mark[dest] = i;
               qsend[r][dest].push_back(to_wire(to));
               ++rank_count[r];
-            }
-          }
-          continue;
-        }
-        // Boundary octant: pieces may cross into other trees and frames;
-        // resolve through the connectivity, with only the last-hit cache.
-        owners.clear_window();
-        for (std::size_t oi = 0; oi < n_offs; ++oi) {
-          const auto& off = all_offs[oi];
-          const auto nb = conn.neighbor(to.tree, to.oct, off);
-          if (!nb) continue;
-          const GlobalPos lo{nb->tree, morton_key(nb->oct)};
-          const GlobalPos hi{
-              nb->tree,
-              morton_key(nb->oct) + (morton_t{1} << (D * size_exp(nb->oct)))};
-          const bool same_frame =
-              nb->xform == FrameTransform<D>::identity();
-          if (nb->tree == to.tree && same_frame && own_lo <= lo &&
-              GlobalPos{nb->tree, hi.key - 1} < own_hi) {
-            continue;  // fully interior to this rank's subtree
-          }
-          const auto [r0, r1] = owners.owners_of(lo, hi);
-          for (int dest = r0; dest <= r1; ++dest) {
-            if (f.marker(dest) == f.marker(dest + 1)) continue;  // empty rank
-            // Same rank, same tree, and no boundary crossing: covered by
-            // the local subtree balance.  A piece that *wrapped* around a
-            // periodic boundary back into the same tree is a different
-            // coordinate frame and still needs the query/response path.
-            if (dest == r && nb->tree == to.tree && same_frame) continue;
-            if (last_mark[dest] == i) continue;              // already queued
-            last_mark[dest] = i;
-            qsend[r][dest].push_back(to_wire(to));
-            ++rank_count[r];
-          }
-        }
+            });
       }
       for (int dest = 0; dest < P; ++dest) {
         if (!qsend[r][dest].empty()) {
@@ -388,12 +319,16 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
         for (const auto& w : queries) {
           const TreeOct<D> q = from_wire(w);
           const std::size_t first = out.size();
-          // Answer q from the leaves of `run` overlapping insulation piece
-          // `piece` (in the run's tree frame), mapped into q's frame by
-          // `xf` (null: identity).
-          const auto respond = [&](const TreeRun& run, const Octant<D>& piece,
-                                   const FrameTransform<D>* xf) {
-            const auto [lo, hi] = iv.overlapping(run.lo, run.hi, piece);
+          // Answer q from the leaves overlapping each insulation piece (in
+          // the piece's tree frame), mapped into q's frame by `xf` (null:
+          // identity): a pure translation for brick connectivities, a signed
+          // permutation plus translation for general 2D gluings.
+          for_each_piece(conn, q, offs, [&](std::int32_t tree,
+                                            const Octant<D>& piece,
+                                            const FrameTransform<D>* xf) {
+            const TreeRun* run = find_run(runs, tree);
+            if (!run) return;
+            const auto [lo, hi] = iv.overlapping(run->lo, run->hi, piece);
             for (std::size_t ji = lo; ji < hi; ++ji) {
               const Octant<D>& leaf = mine[ji].oct;
               if (leaf.level <= q.oct.level) continue;  // too coarse
@@ -412,26 +347,7 @@ BalanceReport balance(Forest<D>& f, const BalanceOptions& opt, SimComm& comm) {
                 out.push_back(WirePair<D>{w, o.level, o.x});
               }
             }
-          };
-          if (insulation_in_tree(q.oct)) {
-            // Interior query, as in build_queries: no connectivity lookups.
-            if (const TreeRun* run = find_run(runs, q.tree)) {
-              for (const auto& off : offs) {
-                respond(*run, offset_piece<D>(q.oct, off), nullptr);
-              }
-            }
-          } else {
-            // Map each piece through the connectivity (a pure translation
-            // for brick connectivities, a signed permutation plus
-            // translation for general 2D gluings).
-            for (const auto& off : offs) {
-              const auto nb = conn.neighbor(q.tree, q.oct, off);
-              if (!nb) continue;
-              if (const TreeRun* run = find_run(runs, nb->tree)) {
-                respond(*run, nb->oct, &nb->xform);
-              }
-            }
-          }
+          });
           // Seeds from different response octants overlap; deduplicate per
           // query, so the per-sender pass below sees ~distinct items only.
           std::sort(out.begin() + first, out.end());

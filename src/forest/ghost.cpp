@@ -28,34 +28,20 @@ bool adjacent_to_any(const Connectivity<D>& conn, const TreeOct<D>& g, int k,
                      const std::vector<TreeOct<D>>& mine,
                      const std::vector<detail::TreeRun>& runs,
                      const detail::LeafIntervals<D>& iv) {
-  const auto adjacent = [&](const detail::TreeRun& run, const Octant<D>& piece,
-                            const FrameTransform<D>* xf) {
-    const auto [lo, hi] = iv.overlapping(run.lo, run.hi, piece);
-    for (std::size_t j = lo; j < hi; ++j) {
-      const Octant<D> m = xf ? xf->apply(mine[j].oct) : mine[j].oct;
-      const int c = adjacency_codim(g.oct, m);
-      if (c >= 1 && c <= k) return true;
-    }
-    return false;
-  };
-  if (detail::insulation_in_tree(g.oct)) {
-    // Interior candidate: every piece stays in g's tree, identity frame.
-    const detail::TreeRun* run = detail::find_run(runs, g.tree);
-    if (!run) return false;
-    for (const auto& off : balance_offsets<D>(k)) {
-      if (adjacent(*run, detail::offset_piece<D>(g.oct, off), nullptr)) {
-        return true;
-      }
-    }
-    return false;
-  }
-  for (const auto& off : balance_offsets<D>(k)) {
-    const auto nb = conn.neighbor(g.tree, g.oct, off);
-    if (!nb) continue;
-    const detail::TreeRun* run = detail::find_run(runs, nb->tree);
-    if (run && adjacent(*run, nb->oct, &nb->xform)) return true;
-  }
-  return false;
+  return detail::for_each_piece(
+      conn, g, balance_offsets<D>(k),
+      [&](std::int32_t tree, const Octant<D>& piece,
+          const FrameTransform<D>* xf) {
+        const detail::TreeRun* run = detail::find_run(runs, tree);
+        if (!run) return false;
+        const auto [lo, hi] = iv.overlapping(run->lo, run->hi, piece);
+        for (std::size_t j = lo; j < hi; ++j) {
+          const Octant<D> m = xf ? xf->apply(mine[j].oct) : mine[j].oct;
+          const int c = adjacency_codim(g.oct, m);
+          if (c >= 1 && c <= k) return true;
+        }
+        return false;
+      });
 }
 
 }  // namespace
@@ -80,12 +66,8 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
   obs::Counter& c_owner_cmp = met.counter("ghost/owner_comparisons");
 
   // Sender side: my leaf o is a (conservative) ghost candidate for every
-  // rank owning part of a same-size neighbor piece of o.  Owner resolution
-  // uses the same per-octant envelope window + last-hit cache as the
-  // balance Query phase (DESIGN.md §2.10); candidates landing on the rank
-  // itself are discarded below, so octants whose whole neighborhood
-  // envelope sits inside the rank's own curve span produce nothing and can
-  // skip the offset loop entirely.
+  // other rank owning part of a same-size neighbor piece of o, found by the
+  // shared sender walk (detail::for_each_remote_owner, DESIGN.md §2.10).
   std::vector<std::vector<std::vector<WireGhost<D>>>> send(P);
   std::vector<std::vector<int>> receivers(P);
   std::vector<OwnerScanStats> rank_owner(P);
@@ -99,64 +81,17 @@ GhostLayer<D> build_ghost_layer(const Forest<D>& f, int k, SimComm& comm,
     std::vector<std::size_t> last(P, static_cast<std::size_t>(-1));
     const auto& mine = f.local(r);
     OwnerWindow<D> owners(f, &rank_owner[r]);
-    const GlobalPos own_lo = f.marker(r);
-    const GlobalPos own_hi = f.marker(r + 1);
     for (std::size_t i = 0; i < mine.size(); ++i) {
       const auto& to = mine[i];
-      if (detail::insulation_in_tree(to.oct)) {
-        // Interior octant: every same-size neighbor piece exists, stays in
-        // this tree and keeps the identity frame.  The (-1..-1)/(+1..+1)
-        // corner pieces bound every piece's key interval, so if the whole
-        // envelope is inside this rank's span every candidate would be a
-        // self-candidate (q == r) and is dropped anyway.
-        const coord_t hh = side_len(to.oct);
-        Octant<D> lo_p = to.oct, hi_p = to.oct;
-        for (int dd = 0; dd < D; ++dd) {
-          lo_p.x[dd] -= hh;
-          hi_p.x[dd] += hh;
-        }
-        const GlobalPos env_lo{to.tree, morton_key(lo_p)};
-        const GlobalPos env_hi{
-            to.tree,
-            morton_key(hi_p) + (morton_t{1} << (D * size_exp(hi_p))) - 1};
-        if (own_lo <= env_lo && env_hi < own_hi) continue;
-        owners.set_window(env_lo, GlobalPos{to.tree, env_hi.key + 1});
-        const morton_t sz = morton_t{1} << (D * size_exp(to.oct));
-        for (const auto& off : offs) {
-          const Octant<D> piece = detail::offset_piece<D>(to.oct, off);
-          const GlobalPos lo{to.tree, morton_key(piece)};
-          const GlobalPos hi{to.tree, lo.key + sz};
-          if (own_lo <= lo && GlobalPos{to.tree, hi.key - 1} < own_hi) {
-            continue;  // all owners == r: self-candidates only
-          }
-          const auto [a, b] = owners.owners_of(lo, hi);
-          for (int q = a; q <= b; ++q) {
-            if (q == r || f.marker(q) == f.marker(q + 1)) continue;
-            if (last[q] == i) continue;
+      detail::for_each_remote_owner(
+          f, r, owners, to, offs,
+          [&](int q, std::int32_t, const FrameTransform<D>*) {
+            // A piece wrapping back into this rank is no ghost.
+            if (q == r || last[q] == i) return;
             last[q] = i;
             send[r][q].push_back(
                 WireGhost<D>{to.tree, to.oct.level, to.oct.x});
-          }
-        }
-        continue;
-      }
-      // Boundary octant: pieces may cross trees and frames; resolve via
-      // the connectivity, with only the last-hit cache.
-      owners.clear_window();
-      for (const auto& off : offs) {
-        const auto nb = conn.neighbor(to.tree, to.oct, off);
-        if (!nb) continue;
-        const GlobalPos lo{nb->tree, morton_key(nb->oct)};
-        const GlobalPos hi{nb->tree, morton_key(nb->oct) +
-                                         (morton_t{1} << (D * size_exp(nb->oct)))};
-        const auto [a, b] = owners.owners_of(lo, hi);
-        for (int q = a; q <= b; ++q) {
-          if (q == r || f.marker(q) == f.marker(q + 1)) continue;
-          if (last[q] == i) continue;
-          last[q] = i;
-          send[r][q].push_back(WireGhost<D>{to.tree, to.oct.level, to.oct.x});
-        }
-      }
+          });
     }
     for (int q = 0; q < P; ++q) {
       if (!send[r][q].empty()) {

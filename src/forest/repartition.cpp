@@ -6,6 +6,7 @@
 
 #include "core/insulation.hpp"
 #include "core/neighborhood.hpp"
+#include "forest/span.hpp"
 #include "obs/mem.hpp"
 
 namespace octbal {
@@ -13,8 +14,7 @@ namespace {
 
 template <int D>
 std::uint64_t octant_weight(const TreeOct<D>& to, RepartitionWeight kind,
-                            const RepartitionWeightFn<D>& custom,
-                            std::vector<Octant<D>>& scratch) {
+                            const RepartitionWeightFn<D>& custom) {
   switch (kind) {
     case RepartitionWeight::kOctants:
       return 1;
@@ -22,9 +22,7 @@ std::uint64_t octant_weight(const TreeOct<D>& to, RepartitionWeight kind,
       // 1 + the in-domain insulation-envelope size: octants whose envelope
       // is clipped by the tree boundary cost less query traffic, interior
       // octants the full 3^D - 1 pieces.
-      scratch.clear();
-      insulation_pieces(to.oct, root_octant<D>(), scratch);
-      return 1 + static_cast<std::uint64_t>(scratch.size());
+      return 1 + insulation_piece_count(to.oct);
     case RepartitionWeight::kCustom:
       assert(custom);
       return custom(to);
@@ -85,48 +83,23 @@ class QueryOracle {
     for (std::size_t i = 0; i < n; ++i) {
       while (i >= old_cuts[r + 1]) ++r;
       const auto& to = all[i];
-      const coord_t hh = side_len(to.oct);
-      bool interior = true;
-      for (int dd = 0; dd < D && interior; ++dd) {
-        interior =
-            to.oct.x[dd] >= hh && to.oct.x[dd] + 2 * hh <= root_len<D>;
-      }
-      if (interior) {
+      if (detail::insulation_in_tree(to.oct)) {
         // Envelope bounds as index interval; if it sits inside the owner's
         // span with max_nudge to spare on both sides, no candidate can make
         // this octant query anyone.
-        Octant<D> lo_p = to.oct, hi_p = to.oct;
-        for (int dd = 0; dd < D; ++dd) {
-          lo_p.x[dd] -= hh;
-          hi_p.x[dd] += hh;
-        }
-        const GlobalPos env_lo{to.tree, morton_key(lo_p)};
-        const GlobalPos env_hi{
-            to.tree,
-            morton_key(hi_p) + (morton_t{1} << (D * size_exp(hi_p))) - 1};
-        const std::size_t a = at_or_before(env_lo);
-        const std::size_t b = at_or_before(env_hi);
+        const auto [lo, hi] = detail::envelope(to);
+        const std::size_t a = at_or_before(lo);
+        const std::size_t b = before(hi);
         if (a >= old_cuts[r] + mn && b + mn < old_cuts[r + 1]) continue;
-        const morton_t sz = morton_t{1} << (D * size_exp(to.oct));
-        for (const auto& off : offs) {
-          Octant<D> piece = to.oct;
-          for (int dd = 0; dd < D; ++dd) {
-            piece.x[dd] += static_cast<coord_t>(off[dd]) * hh;
-          }
-          const GlobalPos lo{to.tree, morton_key(piece)};
-          pieces_.push_back(
-              Piece{at_or_before(lo), before(GlobalPos{to.tree, lo.key + sz})});
-        }
-      } else {
-        for (const auto& off : offs) {
-          const auto nb = conn.neighbor(to.tree, to.oct, off);
-          if (!nb) continue;
-          const GlobalPos lo{nb->tree, morton_key(nb->oct)};
-          const morton_t sz = morton_t{1} << (D * size_exp(nb->oct));
-          pieces_.push_back(Piece{
-              at_or_before(lo), before(GlobalPos{nb->tree, lo.key + sz})});
-        }
       }
+      detail::for_each_piece(conn, to, offs,
+                             [&](std::int32_t tree, const Octant<D>& piece,
+                                 const FrameTransform<D>*) {
+        const GlobalPos lo{tree, morton_key(piece)};
+        const morton_t sz = morton_t{1} << (D * size_exp(piece));
+        pieces_.push_back(
+            Piece{at_or_before(lo), before(GlobalPos{tree, lo.key + sz})});
+      });
       if (pieces_.size() > begin_.back()) {
         oct_of_.push_back(static_cast<std::uint32_t>(i));
         begin_.push_back(static_cast<std::uint32_t>(pieces_.size()));
@@ -331,12 +304,10 @@ RepartitionReport repartition(Forest<D>& f, const RepartitionOptions& opt,
   std::vector<std::size_t> cuts = old_cuts;
 
   if (opt.mode == RepartitionMode::kWeighted) {
-    std::vector<Octant<D>> scratch;
     std::vector<std::uint64_t> prefix(n);
     std::uint64_t total = 0, maxw = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t w = octant_weight<D>(all[i], opt.weight, custom,
-                                               scratch);
+      const std::uint64_t w = octant_weight<D>(all[i], opt.weight, custom);
       maxw = std::max(maxw, w);
       total += w;
       prefix[i] = total;  // inclusive prefix sum

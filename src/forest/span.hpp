@@ -2,18 +2,25 @@
 /// \file span.hpp
 /// \brief Run/span helpers shared by the balance pipelines: splitting a
 /// rank's sorted TreeOct array into per-tree contiguous runs (and finding
-/// a tree's run), the identity-frame insulation pieces of an octant whose
-/// neighborhood stays inside its tree, clipping a re-balanced subtree back
+/// a tree's run), the insulation-piece walks (for_each_piece and the
+/// sender-side for_each_remote_owner), clipping a re-balanced subtree back
 /// to a run's original curve span (which is how ownership stays fixed
 /// across a balance — the span's key interval is invariant under
 /// refinement, because a split leaf's first child keeps its Morton key and
 /// its last child ends where the parent ended), range searches over flat
 /// leaf-interval arrays, and merging new leaves into a linear TreeOct
-/// array.  Used by forest/balance.cpp (full one-pass balance),
-/// forest/delta_balance.cpp (incremental re-balance) and forest/ghost.cpp
-/// (the receiver-side adjacency filter).
+/// array.  Used by forest/balance.cpp (the query walk, the response and
+/// phase 4), forest/delta_balance.cpp (the push walk and the re-balance),
+/// forest/ghost.cpp (the candidate walk and the receiver-side adjacency
+/// filter) and forest/repartition.cpp (the query-replay oracle).  The
+/// checkers and oracles those pipelines are tested against
+/// (forest_find_violation, Forest::coarsen, analyze_mesh, the serial
+/// forest balance) walk conn.neighbor directly so they never share this
+/// code.
 
 #include <algorithm>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -80,6 +87,98 @@ Octant<D> offset_piece(const Octant<D>& o, const std::array<int, D>& off) {
     piece.x[d] += static_cast<coord_t>(off[d]) * side_len(o);
   }
   return piece;
+}
+
+/// Half-open key interval [lo, hi) of the insulation envelope of \p to in
+/// its own tree; meaningful when insulation_in_tree(to.oct).  Morton keys
+/// are monotone in componentwise coordinate order, so the (-1..-1) and
+/// (+1..+1) corner pieces bound the key interval of every piece: when the
+/// envelope lies inside one rank's curve span, so does every piece.
+template <int D>
+std::pair<GlobalPos, GlobalPos> envelope(const TreeOct<D>& to) {
+  const coord_t h = side_len(to.oct);
+  Octant<D> lo = to.oct, hi = to.oct;
+  for (int d = 0; d < D; ++d) {
+    lo.x[d] -= h;
+    hi.x[d] += h;
+  }
+  return {position_of(TreeOct<D>{to.tree, lo}),
+          end_position_of(TreeOct<D>{to.tree, hi})};
+}
+
+/// Calls fn(tree, piece, xf) for every in-domain insulation piece of \p to
+/// at the offsets \p offs, in \p offs order: the same-size neighbor at
+/// that offset, in its own tree's frame, with xf its neighbor -> source
+/// frame map.  An octant whose whole layer stays in its tree takes plain
+/// coordinate offsets with xf null (the identity); any other goes through
+/// conn.neighbor.  fn may return true to stop the walk; the walk
+/// returns whether it was stopped.
+template <int D>
+using OffsetSpan = std::type_identity_t<std::span<const std::array<int, D>>>;
+
+template <int D, class Fn>
+bool for_each_piece(const Connectivity<D>& conn, const TreeOct<D>& to,
+                    OffsetSpan<D> offs, Fn&& fn) {
+  const auto call = [&](std::int32_t tree, const Octant<D>& piece,
+                        const FrameTransform<D>* xf) {
+    if constexpr (std::is_void_v<decltype(fn(tree, piece, xf))>) {
+      fn(tree, piece, xf);
+      return false;
+    } else {
+      return static_cast<bool>(fn(tree, piece, xf));
+    }
+  };
+  if (insulation_in_tree(to.oct)) {
+    for (const auto& off : offs) {
+      if (call(to.tree, offset_piece<D>(to.oct, off), nullptr)) return true;
+    }
+    return false;
+  }
+  for (const auto& off : offs) {
+    const auto nb = conn.neighbor(to.tree, to.oct, off);
+    if (nb && call(nb->tree, nb->oct, &nb->xform)) return true;
+  }
+  return false;
+}
+
+/// The sender walk of the query, push and ghost phases: calls
+/// fn(dest, tree, xf) for every non-empty rank owning part of an
+/// insulation piece of rank \p r's leaf \p to (offsets \p offs), once per
+/// (piece, owner), with xf null iff the piece keeps o's frame.  A piece of
+/// o's own tree and frame that \p r owns is covered by r's local subtree
+/// balance and is skipped, as is that r itself as a destination; a piece
+/// that wraps back into r through a periodic face or another tree still
+/// reaches fn with dest == r.  Owner resolution runs through \p owners:
+/// an interior octant whose envelope lies inside r's span returns at once,
+/// any other interior octant resolves its envelope's owner window once
+/// (DESIGN.md §2.10), and a boundary octant uses only the last-hit cache.
+template <int D, class Fn>
+void for_each_remote_owner(const Forest<D>& f, int r, OwnerWindow<D>& owners,
+                           const TreeOct<D>& to, OffsetSpan<D> offs, Fn&& fn) {
+  const GlobalPos own_lo = f.marker(r);
+  const GlobalPos own_hi = f.marker(r + 1);
+  if (insulation_in_tree(to.oct)) {
+    const auto [lo, hi] = envelope(to);
+    if (own_lo <= lo && hi <= own_hi) return;
+    owners.set_window(lo, hi);
+  } else {
+    owners.clear_window();
+  }
+  for_each_piece(f.connectivity(), to, offs,
+                 [&](std::int32_t tree, const Octant<D>& piece,
+                     const FrameTransform<D>* xf) {
+    if (xf && *xf == FrameTransform<D>::identity()) xf = nullptr;
+    const bool local = tree == to.tree && !xf;
+    const GlobalPos lo{tree, morton_key(piece)};
+    const GlobalPos hi{tree, lo.key + (morton_t{1} << (D * size_exp(piece)))};
+    if (local && own_lo <= lo && hi <= own_hi) return;
+    const auto [a, b] = owners.owners_of(lo, hi);
+    for (int dest = a; dest <= b; ++dest) {
+      if (f.marker(dest) == f.marker(dest + 1)) continue;  // empty rank
+      if (dest == r && local) continue;
+      fn(dest, tree, xf);
+    }
+  });
 }
 
 /// Keep only the leaves of \p balanced whose Morton interval lies within

@@ -101,24 +101,33 @@ class Differ {
     }
   }
 
-  void exact_array(const std::string& path, const JsonValue* a,
-                   const JsonValue* b) {
+  /// Two arrays compared element by element: each(path[i], a[i], b[i]).
+  /// A length difference is one exact mismatch at path.length, and then
+  /// no element is compared.
+  template <class Fn>
+  void pairs(const std::string& path, const JsonValue* a, const JsonValue* b,
+             Fn each) {
     if (!a || !b || !a->is_array() || !b->is_array()) return;
     if (a->arr.size() != b->arr.size()) {
-      out_.exact_checked += 1;
-      out_.mismatches.push_back({path + ".length",
-                                 std::to_string(a->arr.size()),
-                                 std::to_string(b->arr.size()), false});
+      mismatch(path + ".length", std::to_string(a->arr.size()),
+               std::to_string(b->arr.size()));
       return;
     }
     for (std::size_t i = 0; i < a->arr.size(); ++i) {
-      const std::string p = path + "[" + std::to_string(i) + "]";
-      if (a->arr[i].is_array()) {
-        exact_array(p, &a->arr[i], &b->arr[i]);
-      } else {
-        exact(p, &a->arr[i], &b->arr[i]);
-      }
+      each(path + "[" + std::to_string(i) + "]", a->arr[i], b->arr[i]);
     }
+  }
+
+  void exact_array(const std::string& path, const JsonValue* a,
+                   const JsonValue* b) {
+    pairs(path, a, b,
+          [&](const std::string& p, const JsonValue& x, const JsonValue& y) {
+            if (x.is_array()) {
+              exact_array(p, &x, &y);
+            } else {
+              exact(p, &x, &y);
+            }
+          });
   }
 
   void timing(const std::string& path, const JsonValue* a,
@@ -194,43 +203,28 @@ void diff_metrics(Differ& d, const std::string& path, const JsonValue* a,
 
 void diff_rounds(Differ& d, const std::string& path, const JsonValue* a,
                  const JsonValue* b) {
-  if (!a || !b || !a->is_array() || !b->is_array()) return;
-  if (a->arr.size() != b->arr.size()) {
-    d.mismatch(path + ".length", std::to_string(a->arr.size()),
-               std::to_string(b->arr.size()));
-    return;
-  }
-  for (std::size_t i = 0; i < a->arr.size(); ++i) {
-    const std::string p = path + "[" + std::to_string(i) + "]";
-    d.exact_member(p, a->arr[i], b->arr[i], "messages");
-    d.exact_member(p, a->arr[i], b->arr[i], "bytes");
-    d.exact_array(p + ".edges", a->arr[i].find("edges"),
-                  b->arr[i].find("edges"));
-  }
+  d.pairs(path, a, b,
+          [&](const std::string& p, const JsonValue& av, const JsonValue& bv) {
+            d.exact_member(p, av, bv, "messages");
+            d.exact_member(p, av, bv, "bytes");
+            d.exact_array(p + ".edges", av.find("edges"), bv.find("edges"));
+          });
 }
 
 void diff_critical_path(Differ& d, const std::string& path,
                         const JsonValue* a, const JsonValue* b) {
-  if (!a || !b || !a->is_array() || !b->is_array()) return;
-  if (a->arr.size() != b->arr.size()) {
-    d.mismatch(path + ".length", std::to_string(a->arr.size()),
-               std::to_string(b->arr.size()));
-    return;
-  }
-  for (std::size_t i = 0; i < a->arr.size(); ++i) {
-    const std::string p = path + "[" + std::to_string(i) + "]";
-    const JsonValue& av = a->arr[i];
-    const JsonValue& bv = b->arr[i];
-    d.exact_member(p, av, bv, "phase");
-    d.exact_member(p, av, bv, "rounds");
-    d.exact_member(p, av, bv, "collectives");
-    d.exact_sparse_union(p + ".critical_by_rank",
-                         av.find("critical_by_rank"),
-                         bv.find("critical_by_rank"));
-    d.timing_member(p, av, bv, "time");
-    d.timing_member(p, av, bv, "mean_time");
-    d.timing_member(p, av, bv, "slack");
-  }
+  d.pairs(path, a, b,
+          [&](const std::string& p, const JsonValue& av, const JsonValue& bv) {
+            d.exact_member(p, av, bv, "phase");
+            d.exact_member(p, av, bv, "rounds");
+            d.exact_member(p, av, bv, "collectives");
+            d.exact_sparse_union(p + ".critical_by_rank",
+                                 av.find("critical_by_rank"),
+                                 bv.find("critical_by_rank"));
+            d.timing_member(p, av, bv, "time");
+            d.timing_member(p, av, bv, "mean_time");
+            d.timing_member(p, av, bv, "slack");
+          });
 }
 
 /// The v3 memory section: every field is a deterministic peak counter (or
@@ -259,25 +253,14 @@ void diff_memory(Differ& d, const std::string& path, const JsonValue* a,
                     bv->find("per_rank"));
     }
   }
-  const JsonValue* ap = a->find("phases");
-  const JsonValue* bp = b->find("phases");
-  if (ap && bp && ap->is_array() && bp->is_array()) {
-    if (ap->arr.size() != bp->arr.size()) {
-      d.mismatch(path + ".phases.length", std::to_string(ap->arr.size()),
-                 std::to_string(bp->arr.size()));
-      return;
-    }
-    for (std::size_t i = 0; i < ap->arr.size(); ++i) {
-      const std::string p = path + ".phases[" + std::to_string(i) + "]";
-      const JsonValue& av = ap->arr[i];
-      const JsonValue& bv = bp->arr[i];
-      d.exact_member(p, av, bv, "phase");
-      d.exact_member(p, av, bv, "engine");
-      d.exact_member(p, av, bv, "max");
-      d.exact_array(p + ".per_rank", av.find("per_rank"),
-                    bv.find("per_rank"));
-    }
-  }
+  d.pairs(path + ".phases", a->find("phases"), b->find("phases"),
+          [&](const std::string& p, const JsonValue& av, const JsonValue& bv) {
+            d.exact_member(p, av, bv, "phase");
+            d.exact_member(p, av, bv, "engine");
+            d.exact_member(p, av, bv, "max");
+            d.exact_array(p + ".per_rank", av.find("per_rank"),
+                          bv.find("per_rank"));
+          });
 }
 
 void diff_run(Differ& d, const std::string& path, const JsonValue& a,
@@ -327,20 +310,10 @@ void diff_run(Differ& d, const std::string& path, const JsonValue& a,
           "reverted_rounds"}) {
       d.exact(rp + "." + key, ar->find(key), br->find(key));
     }
-    const JsonValue* at = ar->find("slack_trajectory");
-    const JsonValue* bt = br->find("slack_trajectory");
-    if (at && bt && at->is_array() && bt->is_array()) {
-      if (at->arr.size() != bt->arr.size()) {
-        d.mismatch(rp + ".slack_trajectory.length",
-                   std::to_string(at->arr.size()),
-                   std::to_string(bt->arr.size()));
-      } else {
-        for (std::size_t i = 0; i < at->arr.size(); ++i) {
-          d.timing(rp + ".slack_trajectory[" + std::to_string(i) + "]",
-                   &at->arr[i], &bt->arr[i]);
-        }
-      }
-    }
+    d.pairs(rp + ".slack_trajectory", ar->find("slack_trajectory"),
+            br->find("slack_trajectory"),
+            [&](const std::string& p, const JsonValue& av,
+                const JsonValue& bv) { d.timing(p, &av, &bv); });
     d.timing(rp + ".slack_reduction", ar->find("slack_reduction"),
              br->find("slack_reduction"));
   }
@@ -359,31 +332,51 @@ void diff_run(Differ& d, const std::string& path, const JsonValue& a,
     d.timing(cp + ".steady_mean_reduction",
              ac->find("steady_mean_reduction"),
              bc->find("steady_mean_reduction"));
-    const JsonValue* as = ac->find("steps");
-    const JsonValue* bs = bc->find("steps");
-    if (as && bs && as->is_array() && bs->is_array()) {
-      if (as->arr.size() != bs->arr.size()) {
-        d.mismatch(cp + ".steps.length", std::to_string(as->arr.size()),
-                   std::to_string(bs->arr.size()));
-      } else {
-        for (std::size_t i = 0; i < as->arr.size(); ++i) {
-          const std::string sp = cp + ".steps[" + std::to_string(i) + "]";
-          const JsonValue& av = as->arr[i];
-          const JsonValue& bv = bs->arr[i];
-          for (const char* key :
-               {"step", "octants", "refined", "coarsened", "dirty", "region",
-                "constraints", "created", "rounds", "identical",
-                "full_peak_bytes", "delta_peak_bytes"}) {
-            d.exact(sp + "." + key, av.find(key), bv.find(key));
-          }
-          d.timing_member(sp, av, bv, "modeled_full");
-          d.timing_member(sp, av, bv, "modeled_delta");
-          d.timing_member(sp, av, bv, "reduction");
-        }
-      }
-    }
+    d.pairs(cp + ".steps", ac->find("steps"), bc->find("steps"),
+            [&](const std::string& sp, const JsonValue& av,
+                const JsonValue& bv) {
+              for (const char* key :
+                   {"step", "octants", "refined", "coarsened", "dirty",
+                    "region", "constraints", "created", "rounds", "identical",
+                    "full_peak_bytes", "delta_peak_bytes"}) {
+                d.exact(sp + "." + key, av.find(key), bv.find(key));
+              }
+              d.timing_member(sp, av, bv, "modeled_full");
+              d.timing_member(sp, av, bv, "modeled_delta");
+              d.timing_member(sp, av, bv, "reduction");
+            });
   }
 }
+
+/// Per-(from, to) totals of message edges; top(n) is the n heaviest.
+class EdgeTally {
+ public:
+  void add(int from, int to, std::uint64_t messages, std::uint64_t bytes) {
+    CommEdge& e = agg_[{from, to}];
+    e.from = from;
+    e.to = to;
+    e.messages += messages;
+    e.bytes += bytes;
+  }
+
+  /// The \p n heaviest edges: by bytes, then messages, then (from, to).
+  std::vector<CommEdge> top(std::size_t n) const {
+    std::vector<CommEdge> edges;
+    edges.reserve(agg_.size());
+    for (const auto& [key, e] : agg_) edges.push_back(e);
+    std::sort(edges.begin(), edges.end(),
+              [](const CommEdge& a, const CommEdge& b) {
+                if (a.bytes != b.bytes) return a.bytes > b.bytes;
+                if (a.messages != b.messages) return a.messages > b.messages;
+                return std::tie(a.from, a.to) < std::tie(b.from, b.to);
+              });
+    if (edges.size() > n) edges.resize(n);
+    return edges;
+  }
+
+ private:
+  std::map<std::pair<int, int>, CommEdge> agg_;
+};
 
 }  // namespace
 
@@ -435,7 +428,7 @@ const JsonValue* google_benchmark_section(const JsonValue& doc) {
 }
 
 std::vector<CommEdge> top_talkers(const JsonValue& run, std::size_t n) {
-  std::map<std::pair<int, int>, CommEdge> agg;
+  EdgeTally tally;
   const JsonValue* rounds = run.find("rounds");
   if (rounds && rounds->is_array()) {
     for (const JsonValue& round : rounds->arr) {
@@ -443,27 +436,13 @@ std::vector<CommEdge> top_talkers(const JsonValue& run, std::size_t n) {
       if (!edges || !edges->is_array()) continue;
       for (const JsonValue& e : edges->arr) {
         if (!e.is_array() || e.arr.size() != 4) continue;
-        const int from = static_cast<int>(e.arr[0].num);
-        const int to = static_cast<int>(e.arr[1].num);
-        CommEdge& out = agg[{from, to}];
-        out.from = from;
-        out.to = to;
-        out.messages += e.arr[2].as_uint();
-        out.bytes += e.arr[3].as_uint();
+        tally.add(static_cast<int>(e.arr[0].num),
+                  static_cast<int>(e.arr[1].num), e.arr[2].as_uint(),
+                  e.arr[3].as_uint());
       }
     }
   }
-  std::vector<CommEdge> edges;
-  edges.reserve(agg.size());
-  for (const auto& [key, e] : agg) edges.push_back(e);
-  std::sort(edges.begin(), edges.end(),
-            [](const CommEdge& a, const CommEdge& b) {
-              if (a.bytes != b.bytes) return a.bytes > b.bytes;
-              if (a.messages != b.messages) return a.messages > b.messages;
-              return std::tie(a.from, a.to) < std::tie(b.from, b.to);
-            });
-  if (edges.size() > n) edges.resize(n);
-  return edges;
+  return tally.top(n);
 }
 
 std::string render_report(const JsonValue& doc, std::string* err) {
@@ -1004,30 +983,18 @@ std::string render_flight(const std::vector<FlightLog>& logs) {
       i = j;
     }
     // Heaviest edges over the whole log.
-    std::map<std::pair<int, int>, CommEdge> agg;
+    EdgeTally tally;
     for (const auto& r : log.rounds) {
       for (const auto& e : r.edges) {
-        CommEdge& ce = agg[{e.from, e.to}];
-        ce.from = e.from;
-        ce.to = e.to;
-        ce.messages += e.messages;
-        ce.bytes += e.bytes;
+        tally.add(e.from, e.to, e.messages, e.bytes);
       }
     }
-    std::vector<CommEdge> top;
-    top.reserve(agg.size());
-    for (const auto& [key, e] : agg) top.push_back(e);
-    std::sort(top.begin(), top.end(), [](const CommEdge& x, const CommEdge& y) {
-      if (x.bytes != y.bytes) return x.bytes > y.bytes;
-      if (x.messages != y.messages) return x.messages > y.messages;
-      return std::tie(x.from, x.to) < std::tie(y.from, y.to);
-    });
-    if (!top.empty()) {
+    if (const auto top = tally.top(5); !top.empty()) {
       out += "  top edges:";
-      for (std::size_t i = 0; i < top.size() && i < 5; ++i) {
-        out += fmt(" %d->%d (%llu msgs, %llu B)", top[i].from, top[i].to,
-                   static_cast<unsigned long long>(top[i].messages),
-                   static_cast<unsigned long long>(top[i].bytes));
+      for (const CommEdge& e : top) {
+        out += fmt(" %d->%d (%llu msgs, %llu B)", e.from, e.to,
+                   static_cast<unsigned long long>(e.messages),
+                   static_cast<unsigned long long>(e.bytes));
       }
       out += "\n";
     }

@@ -170,10 +170,15 @@ TEST(PerfGuards, GhostOwnerResolutionStaysWindowed) {
   const OwnerScanStats& os = gl.owner_scan;
   ASSERT_GT(os.lookups, 0u);
   EXPECT_EQ(os.lookups, os.cache_hits + os.window_scans + os.full_searches);
+  // The candidate walk skips every same-tree, identity-frame piece inside
+  // the rank's own span, on the boundary path too (without that skip:
+  // 861,248 lookups, 186,524 full searches), pinned exactly.
+  EXPECT_EQ(os.lookups, 335312u);
+  EXPECT_EQ(os.full_searches, 11249u);
   // The ghost candidate walk hops across rank boundaries far more often
   // than the query walk (it *targets* the boundary), so its budgets are
   // looser but still well below the binary-search baseline: >= 70% cache
-  // hits (measured 77.8%) and <= 5 comparisons per lookup (measured 4.0).
+  // hits (measured 95.5%) and <= 5 comparisons per lookup (measured 2.9).
   EXPECT_GE(os.cache_hits * 10, os.lookups * 7);
   EXPECT_LE(os.comparisons, 5 * os.lookups);
 }

@@ -3,6 +3,7 @@
 /// (forest/repartition.hpp): marker monotonicity, the bounded-nudge
 /// contract, weighted equalization, idempotence, no-op edge cases, exact
 /// migration accounting, oracle exactness against the measured profile,
+/// the closed-form insulation weight against the enumerated pieces,
 /// and byte-identical results across thread counts (the tsan label runs
 /// this file under the threaded rank engine).
 
@@ -13,7 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "core/insulation.hpp"
 #include "forest/repartition.hpp"
+#include "util/rng.hpp"
 #include "util/parallel.hpp"
 #include "workload/workloads.hpp"
 
@@ -138,6 +141,60 @@ TEST(Repartition, WeightedEqualizesWithinOneMaxWeightOctant) {
           << static_cast<int>(w);
     }
   }
+}
+
+template <int D>
+void expect_closed_form_matches_pieces() {
+  const Octant<D> root = root_octant<D>();
+  Rng rng(0xc105ed + D);
+  std::vector<Octant<D>> octs = {root};
+  // Domain-face octants at level 1, a mid level and max_level: every
+  // combination of lower face / interior / upper face per axis.
+  for (const int level : {1, 5, max_level<D>}) {
+    const coord_t h = coord_t{1} << (max_level<D> - level);
+    int combos = 1;
+    for (int d = 0; d < D; ++d) combos *= 3;
+    for (int c = 0; c < combos; ++c) {
+      Octant<D> o;
+      o.level = static_cast<level_t>(level);
+      for (int d = 0, cc = c; d < D; ++d, cc /= 3) {
+        const coord_t mid = level == 1 ? 0 : h;  // level 1 has no interior
+        o.x[d] = cc % 3 == 0 ? 0 : cc % 3 == 1 ? mid : root_len<D> - h;
+      }
+      octs.push_back(o);
+    }
+  }
+  for (int i = 0; i < 2000; ++i) {
+    octs.push_back(random_octant<D>(rng, root, max_level<D>));
+  }
+  std::vector<Octant<D>> pieces;
+  for (const auto& o : octs) {
+    pieces.clear();
+    insulation_pieces(o, root, pieces);
+    EXPECT_EQ(insulation_piece_count(o), pieces.size())
+        << "D=" << D << " " << to_string(o);
+  }
+}
+
+TEST(RepartitionWeight, ClosedFormMatchesPieces) {
+  expect_closed_form_matches_pieces<1>();
+  expect_closed_form_matches_pieces<2>();
+  expect_closed_form_matches_pieces<3>();
+  // And through the weighted repartition itself: the kInsulation total is
+  // one plus the in-domain piece count, summed over the leaves.
+  Forest<3> f = small_fractal(8);
+  prebalance(f);
+  std::uint64_t want = 0;
+  std::vector<Octant<3>> pieces;
+  for (const auto& to : f.gather()) {
+    pieces.clear();
+    insulation_pieces(to.oct, root_octant<3>(), pieces);
+    want += 1 + pieces.size();
+  }
+  RepartitionOptions opt;
+  opt.mode = RepartitionMode::kWeighted;
+  opt.weight = RepartitionWeight::kInsulation;
+  EXPECT_EQ(repartition(f, opt, nullptr).total_weight, want);
 }
 
 TEST(Repartition, WeightedIsIdempotent) {
